@@ -45,13 +45,21 @@ bench-check:
 	PYTHONPATH=src $(PYTHON) -m repro bench check --history 'BENCH_*.json' \
 		--report bench_report.json
 
-# Dual-run determinism sanitizer: re-run a small seeded experiment
-# under perturbed PYTHONHASHSEED / jobs / backend and bit-diff the
-# captured tables and telemetry (exit 1 on any divergence; the runtime
-# twin of lint rules R3/R6/R7/R11-R13).
+# Dual-run determinism sanitizer: re-run every registered experiment
+# (small seeded configuration) under perturbed PYTHONHASHSEED / jobs /
+# backend and bit-diff the captured tables and telemetry (exit 1 on
+# any divergence; the runtime twin of lint rules R3/R6/R7/R11-R13).
+# One JSON report per experiment lands in sanitize_reports/.
 sanitize:
-	PYTHONPATH=src $(PYTHON) -m repro sanitize E01 --fast --trials 2 \
-		--report sanitize_report.json
+	mkdir -p sanitize_reports
+	ids=$$(PYTHONPATH=src $(PYTHON) -m repro list | awk '/^E[0-9]/ {print $$1}'); \
+	test -n "$$ids" || { echo "repro list found no experiments" >&2; exit 1; }; \
+	status=0; \
+	for id in $$ids; do \
+		PYTHONPATH=src $(PYTHON) -m repro sanitize $$id --fast --trials 2 \
+			--report sanitize_reports/$$id.json || status=1; \
+	done; \
+	exit $$status
 
 experiments:
 	PYTHONPATH=src $(PYTHON) -m repro run all --jobs $(JOBS)

@@ -4,8 +4,10 @@
 workload — eight seeded, uninstrumented, static-assignment COGCAST runs
 driven to completion — through the two engine kernels; the ratio of
 their means is the fast-path speedup recorded in ``BENCH_*.json``
-(acceptance floor: 1.5x).  Engine construction happens in untimed
-setup, so the numbers isolate ``Engine.run``.
+(acceptance floor: 1.5x).  The general kernel is forced by attaching a
+no-op ``SlotProbe``, whose hooks cost one empty call each.  Engine
+construction happens in untimed setup, so the numbers isolate
+``Engine.run``.
 
 ``test_trials_serial`` vs ``test_trials_parallel`` time the same
 16-trial COGCAST sweep through ``map_trials`` with one worker and with
@@ -22,6 +24,7 @@ from repro.assignment import shared_core
 from repro.core.cogcast import CogCast
 from repro.experiments.e01_cogcast_scaling_n import measure_cogcast_slots
 from repro.experiments.harness import map_trials, trial_seeds
+from repro.obs.probe import SlotProbe
 from repro.sim import Network
 from repro.sim.engine import Engine, build_engine
 from repro.sim.rng import derive_rng
@@ -33,6 +36,7 @@ TRIALS = 16
 
 
 def _build_engines(fast_path: bool) -> list[Engine]:
+    """Seeded engines; ``fast_path=False`` attaches a no-op probe."""
     engines = []
     for seed in ENGINE_SEEDS:
         rng = derive_rng(seed, "assignment")
@@ -43,7 +47,7 @@ def _build_engines(fast_path: bool) -> list[Engine]:
                 network,
                 lambda view: CogCast(view, is_source=(view.node_id == 0)),
                 seed=seed,
-                fast_path=fast_path,
+                probe=None if fast_path else SlotProbe(),
             )
         )
     return engines

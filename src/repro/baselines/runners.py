@@ -8,15 +8,17 @@ asymmetry made structural: protocol modules hold only node-side code
 (lint rule R4), while these harnesses own the world — networks, engines,
 and global channel ids.
 
-As in :mod:`repro.core.runners`, every runner takes optional
-observability instruments (probe, profiler, telemetry sink) so baseline
-runs leave the same ``kind="run"`` manifests as the core protocols.
+Each runner supplies its factory, stop condition, budget, and result
+fold, and hands building, timing, and telemetry to
+:func:`repro.core.runners.drive` — the same driver the core runners
+use — so baseline runs take the same optional instruments (probe,
+profiler, metrics, resources, telemetry sink, backend) and leave the
+same ``kind="run"`` manifests as the core protocols.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.baselines.aggregation import (
     BaselineAggregationResult,
@@ -27,13 +29,10 @@ from repro.baselines.deterministic import StayAndScanBroadcast
 from repro.baselines.hopping import HoppingTogether
 from repro.baselines.rendezvous import RendezvousBroadcast
 from repro.core.cogcast import BroadcastResult
-from repro.obs.metrics import MetricsProbe
-from repro.obs.probe import MultiProbe
-from repro.obs.telemetry import run_record
-from repro.sim.backends import AllInformed, resolve_backend
+from repro.core.runners import drive
+from repro.sim.backends import AllInformed
 from repro.sim.channels import ChannelAssignment, Network
 from repro.sim.collision import CollisionModel
-from repro.sim.engine import Engine, build_engine, make_views
 from repro.sim.protocol import NodeView, Protocol
 from repro.types import NodeId
 
@@ -43,73 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.profiler import Profiler
     from repro.obs.telemetry import TelemetrySink
     from repro.sim.backends import EngineBackend
-
-
-def _engine_probe(
-    probe: "SlotProbe | None",
-    metrics: "MetricsRegistry | None",
-    protocol: str,
-) -> "SlotProbe | None":
-    """Compose the user probe with a metrics probe when a registry is given."""
-    if metrics is None:
-        return probe
-    metrics_probe = MetricsProbe(metrics, protocol=protocol)
-    if probe is None:
-        return metrics_probe
-    return MultiProbe([probe, metrics_probe])
-
-
-def _emit_run(
-    telemetry: "TelemetrySink | None",
-    *,
-    protocol: str,
-    seed: int,
-    network: Network,
-    slots: int,
-    completed: bool,
-    probe: "SlotProbe | None",
-    profiler: "Profiler | None",
-    metrics: "MetricsRegistry | None" = None,
-    resources: "ResourceSampler | None" = None,
-    elapsed_s: float | None = None,
-    fast_path: bool | None = None,
-    backend: str | None = None,
-    vector_fallback_reason: str | None = None,
-) -> None:
-    """Emit one run manifest when a telemetry sink is attached.
-
-    *backend* / *vector_fallback_reason* record the execution path, as
-    in :func:`repro.core.runners._emit_run`.
-    """
-    if telemetry is not None:
-        telemetry.emit(
-            run_record(
-                protocol=protocol,
-                seed=seed,
-                network=network,
-                slots=slots,
-                outcome="completed" if completed else "budget",
-                probe=probe,
-                profiler=profiler,
-                metrics=metrics,
-                resources=None if resources is None else resources.delta(),
-                elapsed_s=elapsed_s,
-                fast_path=fast_path,
-                backend=backend,
-                vector_fallback_reason=vector_fallback_reason,
-            )
-        )
-
-
-def _broadcast_result(result: Any, protocols: Sequence[Any]) -> BroadcastResult:
-    """Fold per-node informed state into a :class:`BroadcastResult`."""
-    return BroadcastResult(
-        slots=result.slots,
-        completed=result.completed,
-        informed_count=sum(protocol.informed for protocol in protocols),
-        parents=tuple(protocol.parent for protocol in protocols),
-        informed_slots=tuple(protocol.informed_slot for protocol in protocols),
-    )
 
 
 def run_rendezvous_broadcast(
@@ -134,37 +66,13 @@ def run_rendezvous_broadcast(
             view, is_source=(view.node_id == source), body=body
         )
 
-    engine = build_engine(
-        network,
-        factory,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "rendezvous-broadcast"),
-        profiler=profiler,
+    result, protocols = drive(
+        "rendezvous-broadcast", network, factory, AllInformed, max_slots,
+        seed=seed, collision=collision, probe=probe, profiler=profiler,
+        metrics=metrics, resources=resources, telemetry=telemetry,
         backend=backend,
     )
-    protocols: list[RendezvousBroadcast] = engine.protocols  # type: ignore[assignment]
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
-        protocol="rendezvous-broadcast",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
-        probe=probe,
-        profiler=profiler,
-        metrics=metrics,
-        resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
-    )
-    return _broadcast_result(result, protocols)
+    return BroadcastResult.from_run(result, protocols)
 
 
 def run_stay_and_scan_broadcast(
@@ -191,37 +99,13 @@ def run_stay_and_scan_broadcast(
             view, is_source=(view.node_id == source), body=body
         )
 
-    engine = build_engine(
-        network,
-        factory,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "stay-and-scan"),
-        profiler=profiler,
+    result, protocols = drive(
+        "stay-and-scan", network, factory, AllInformed, budget,
+        seed=seed, collision=collision, probe=probe, profiler=profiler,
+        metrics=metrics, resources=resources, telemetry=telemetry,
         backend=backend,
     )
-    protocols: list[StayAndScanBroadcast] = engine.protocols  # type: ignore[assignment]
-
-    run_start = perf_counter()
-    result = engine.run(budget, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
-        protocol="stay-and-scan",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
-        probe=probe,
-        profiler=profiler,
-        metrics=metrics,
-        resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
-    )
-    return _broadcast_result(result, protocols)
+    return BroadcastResult.from_run(result, protocols)
 
 
 def run_rendezvous_aggregation(
@@ -249,43 +133,19 @@ def run_rendezvous_aggregation(
             return RendezvousCollector(view)
         return RendezvousReporter(view, values[view.node_id])
 
-    engine = build_engine(
-        network,
-        factory,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "rendezvous-aggregation"),
-        profiler=profiler,
+    def all_collected(protocols: list[Protocol]) -> Callable[[Any], bool]:
+        return lambda _: len(protocols[source].collected) >= n - 1
+
+    result, protocols = drive(
+        "rendezvous-aggregation", network, factory, all_collected, max_slots,
+        seed=seed, collision=collision, probe=probe, profiler=profiler,
+        metrics=metrics, resources=resources, telemetry=telemetry,
         backend=backend,
-    )
-    collector: RendezvousCollector = engine.protocols[source]  # type: ignore[assignment]
-
-    def all_collected(_: Engine) -> bool:
-        return len(collector.collected) >= n - 1
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=all_collected)
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
-        protocol="rendezvous-aggregation",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
-        probe=probe,
-        profiler=profiler,
-        metrics=metrics,
-        resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
     )
     return BaselineAggregationResult(
         slots=result.slots,
         completed=result.completed,
-        collected=dict(collector.collected),
+        collected=dict(protocols[source].collected),
     )
 
 
@@ -313,43 +173,20 @@ def run_hopping_together(
     """
     network = Network.static(assignment)
     universe_size = max(assignment.universe) + 1
-    views = make_views(network, seed)
-    protocols = [
-        HoppingTogether(
+
+    def factory(view: NodeView) -> HoppingTogether:
+        return HoppingTogether(
             view,
             assignment.channels[view.node_id],
             universe_size,
             is_source=(view.node_id == source),
             body=body,
         )
-        for view in views
-    ]
-    engine = resolve_backend(backend).build(
-        network,
-        protocols,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "hopping-together"),
-        profiler=profiler,
-    )
 
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
-        protocol="hopping-together",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
-        probe=probe,
-        profiler=profiler,
-        metrics=metrics,
-        resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+    result, protocols = drive(
+        "hopping-together", network, factory, AllInformed, max_slots,
+        seed=seed, collision=collision, probe=probe, profiler=profiler,
+        metrics=metrics, resources=resources, telemetry=telemetry,
+        backend=backend,
     )
-    return _broadcast_result(result, protocols)
+    return BroadcastResult.from_run(result, protocols)

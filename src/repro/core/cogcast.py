@@ -180,3 +180,18 @@ class BroadcastResult:
     informed_count: int
     parents: tuple[Optional[NodeId], ...]
     informed_slots: tuple[Optional[Slot], ...]
+
+    @classmethod
+    def from_run(cls, run: Any, protocols: Any) -> "BroadcastResult":
+        """Fold a run's ``slots``/``completed`` and per-node informed state.
+
+        *protocols* is any population exposing ``informed``, ``parent``
+        and ``informed_slot`` (COGCAST and the broadcast baselines).
+        """
+        return cls(
+            slots=run.slots,
+            completed=run.completed,
+            informed_count=sum(protocol.informed for protocol in protocols),
+            parents=tuple(protocol.parent for protocol in protocols),
+            informed_slots=tuple(protocol.informed_slot for protocol in protocols),
+        )

@@ -1,29 +1,35 @@
-"""Measurement harnesses for the core protocols.
+"""Measurement harnesses for the core protocols, and the one run driver.
 
-Each ``run_*`` function builds an engine, drives one protocol to
-completion, and folds the per-node protocol state into a result record.
-They live here — not next to the protocol classes — because of the
-model's information asymmetry: a *node* sees only its
-:class:`~repro.sim.protocol.NodeView`, while the *harness* legitimately
-owns the world (the :class:`~repro.sim.channels.Network`, the engine,
-the trace).  The ``repro-lint`` rule R4 enforces the split: modules
-defining :class:`~repro.sim.protocol.Protocol` subclasses must never
-import the engine or the channel world-model.
+Each ``run_*`` function supplies what is specific to its protocol — the
+per-node factory, the stop condition, the slot budget, the outcome
+label, and the fold of per-node state into a result record — and hands
+the rest to :func:`drive`.  They live here — not next to the protocol
+classes — because of the model's information asymmetry: a *node* sees
+only its :class:`~repro.sim.protocol.NodeView`, while the *harness*
+legitimately owns the world (the :class:`~repro.sim.channels.Network`,
+the engine, the trace).  The ``repro-lint`` rule R4 enforces the split:
+modules defining :class:`~repro.sim.protocol.Protocol` subclasses must
+never import the engine or the channel world-model.
 
-Every runner optionally takes observability instruments from
-:mod:`repro.obs`: a *probe* and *profiler* handed to the engine, a
-*spans* probe (:class:`repro.obs.spans.SpanProbe`) for causal tracing,
-*watchdogs* (:class:`repro.obs.watchdog.WatchdogProbe`) that check the
-paper's invariants live, and a *telemetry* sink that receives one
-``kind="run"`` manifest per call — emitted even when
-``require_completion`` raises, so failed runs leave a record.  Watchdog
-anomalies flow into the same sink as ``kind="anomaly"`` records.
+:func:`drive` is the single home of the plumbing every runner shares,
+including the baseline runners in :mod:`repro.baselines.runners`: it
+composes the observability instruments from :mod:`repro.obs` into one
+engine probe — a user *probe*, a *spans* probe
+(:class:`repro.obs.spans.SpanProbe`) for causal tracing, *watchdogs*
+(:class:`repro.obs.watchdog.WatchdogProbe`) that check the paper's
+invariants live, and a :class:`~repro.obs.metrics.MetricsProbe` when a
+*metrics* registry is given — builds the engine on the chosen
+*backend*, times the run with ``perf_counter`` (which never disengages
+the fast kernel), and sends one ``kind="run"`` manifest to the
+*telemetry* sink, followed by the watchdogs' ``kind="anomaly"``
+records.  The manifest is emitted before a runner's
+``require_completion`` check raises, so failed runs leave a record.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.aggregation import Aggregator, CollectAggregator
 from repro.core.cogcast import BroadcastResult, CogCast
@@ -37,7 +43,7 @@ from repro.sim.adversary import Jammer
 from repro.sim.backends import AllInformed, resolve_backend
 from repro.sim.channels import Network
 from repro.sim.collision import CollisionModel
-from repro.sim.engine import Engine, build_engine
+from repro.sim.engine import RunResult, build_engine
 from repro.sim.protocol import NodeView
 from repro.sim.trace import EventTrace
 from repro.types import NodeId, SimulationError
@@ -52,79 +58,93 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.backends import EngineBackend
 
 
-def _compose_probe(
-    probe: "SlotProbe | None",
-    spans: "SpanProbe | None",
-    watchdogs: "Sequence[WatchdogProbe]",
-    *extra: "SlotProbe | None",
-) -> "SlotProbe | None":
-    """Fold the separate instrument kwargs into one engine probe."""
-    instruments = [
-        instrument
-        for instrument in (probe, spans, *watchdogs, *extra)
-        if instrument is not None
-    ]
-    if not instruments:
-        return None
-    if len(instruments) == 1:
-        return instruments[0]
-    return MultiProbe(instruments)
+def completion_outcome(result: RunResult, protocols: Sequence[Any]) -> str:
+    """The default outcome label: ``"completed"`` or ``"budget"``."""
+    return "completed" if result.completed else "budget"
 
 
-def _metrics_probe(
-    metrics: "MetricsRegistry | None", protocol: str
-) -> MetricsProbe | None:
-    """A registry-feeding engine probe, when a registry was supplied."""
-    return None if metrics is None else MetricsProbe(metrics, protocol=protocol)
-
-
-def _emit_run(
-    telemetry: "TelemetrySink | None",
-    *,
+def drive(
     protocol: str,
-    seed: int,
     network: Network,
-    slots: int,
-    outcome: str,
-    probe: "SlotProbe | None",
-    profiler: "Profiler | None",
+    factory: Callable[[NodeView], Any],
+    stop: Callable[[list[Any]], Callable[[Any], bool]],
+    max_slots: int,
+    *,
+    seed: int,
+    outcome: Callable[[RunResult, list[Any]], str] = completion_outcome,
+    collision: CollisionModel | None = None,
+    trace: EventTrace | None = None,
+    jammer: Jammer | None = None,
+    probe: "SlotProbe | None" = None,
+    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
-    elapsed_s: float | None = None,
-    fast_path: bool | None = None,
-    backend: str | None = None,
-    vector_fallback_reason: str | None = None,
-) -> None:
-    """Emit one run manifest (plus any anomalies) when a sink is attached.
+    telemetry: "TelemetrySink | None" = None,
+    backend: "str | EngineBackend | None" = None,
+) -> tuple[RunResult, list[Any]]:
+    """Build, run, and record one population; return the run and its protocols.
 
-    *backend* is the resolved backend name and *vector_fallback_reason*
-    the engine's reason for declining the columnar kernel (``None`` for
-    the exact engine, which has no such attribute) — together with
-    ``fast_path`` they record the execution path queries filter by.
+    *protocol* names the run in its record and metric labels; *stop*
+    receives the built protocols and returns the engine's
+    ``stop_when`` predicate; *outcome* labels the finished run for the
+    record.  The run record carries the execution path — ``backend``,
+    ``fast_path`` and, when the exact engine took the general kernel,
+    ``fast_path_reason``, plus the vector engine's
+    ``vector_fallback_reason`` — and ``elapsed_s`` around
+    :meth:`~repro.sim.engine.Engine.run` alone.
     """
+    instruments = [
+        instrument
+        for instrument in (probe, spans, *watchdogs)
+        if instrument is not None
+    ]
+    if metrics is not None:
+        instruments.append(MetricsProbe(metrics, protocol=protocol))
+    if len(instruments) > 1:
+        engine_probe: "SlotProbe | None" = MultiProbe(instruments)
+    else:
+        engine_probe = instruments[0] if instruments else None
+    engine = build_engine(
+        network,
+        factory,
+        seed=seed,
+        collision=collision,
+        trace=trace,
+        jammer=jammer,
+        probe=engine_probe,
+        profiler=profiler,
+        backend=backend,
+    )
+    protocols: list[Any] = engine.protocols
+    stop_when = stop(protocols)
+    run_start = perf_counter()
+    result = engine.run(max_slots, stop_when=stop_when)
+    elapsed_s = perf_counter() - run_start
     if telemetry is not None:
         telemetry.emit(
             run_record(
                 protocol=protocol,
                 seed=seed,
                 network=network,
-                slots=slots,
-                outcome=outcome,
+                slots=result.slots,
+                outcome=outcome(result, protocols),
                 probe=probe,
                 profiler=profiler,
                 spans=spans,
                 metrics=metrics,
                 resources=None if resources is None else resources.delta(),
                 elapsed_s=elapsed_s,
-                fast_path=fast_path,
-                backend=backend,
-                vector_fallback_reason=vector_fallback_reason,
+                fast_path=engine.fast_path_engaged,
+                fast_path_reason=getattr(engine, "fast_path_reason", None),
+                backend=resolve_backend(backend).name,
+                vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
             )
         )
         if watchdogs:
             flush_anomalies(telemetry, watchdogs, seed=seed, protocol=protocol)
+    return result, protocols
 
 
 def run_local_broadcast(
@@ -159,64 +179,29 @@ def run_local_broadcast(
     :class:`~repro.obs.metrics.MetricsProbe` and embeds its snapshot in
     the run record; *resources* (a started
     :class:`~repro.obs.metrics.ResourceSampler`) embeds its delta.
-    Run records always carry ``elapsed_s`` (harness ``perf_counter``
-    around :meth:`Engine.run`, so it never disengages the fast path)
-    and ``fast_path`` (whether the fast kernel ran) when telemetry is
-    attached.  *backend* selects the execution backend (see
-    :mod:`repro.sim.backends`); results are equivalent per the
-    backend's tier, and ineligible configurations transparently run
-    exact.
+    Run records carry ``elapsed_s`` and the execution path (see
+    :func:`drive`) when telemetry is attached.  *backend* selects the
+    execution backend (see :mod:`repro.sim.backends`); results are
+    equivalent per the backend's tier, and ineligible configurations
+    transparently run exact.
     """
 
     def factory(view: NodeView) -> CogCast:
         return CogCast(view, is_source=(view.node_id == source), body=body)
 
-    engine = build_engine(
-        network,
-        factory,
-        seed=seed,
-        collision=collision,
-        trace=trace,
-        jammer=jammer,
-        probe=_compose_probe(probe, spans, watchdogs, _metrics_probe(metrics, "cogcast")),
-        profiler=profiler,
+    result, protocols = drive(
+        "cogcast", network, factory, AllInformed, max_slots,
+        seed=seed, collision=collision, trace=trace, jammer=jammer,
+        probe=probe, profiler=profiler, spans=spans, watchdogs=watchdogs,
+        metrics=metrics, resources=resources, telemetry=telemetry,
         backend=backend,
-    )
-    protocols: list[CogCast] = engine.protocols  # type: ignore[assignment]
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
-        protocol="cogcast",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        outcome="completed" if result.completed else "budget",
-        probe=probe,
-        profiler=profiler,
-        spans=spans,
-        watchdogs=watchdogs,
-        metrics=metrics,
-        resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
     )
     if require_completion and not result.completed:
         raise SimulationError(
             f"local broadcast incomplete after {max_slots} slots "
             f"({sum(p.informed for p in protocols)}/{len(protocols)} informed)"
         )
-    return BroadcastResult(
-        slots=result.slots,
-        completed=result.completed,
-        informed_count=sum(protocol.informed for protocol in protocols),
-        parents=tuple(protocol.parent for protocol in protocols),
-        informed_slots=tuple(protocol.informed_slot for protocol in protocols),
-    )
+    return BroadcastResult.from_run(result, protocols)
 
 
 def run_data_aggregation(
@@ -295,48 +280,24 @@ def run_data_aggregation(
             is_source=(view.node_id == source),
         )
 
-    engine = build_engine(
-        network,
-        factory,
-        seed=seed,
-        collision=collision,
-        trace=trace,
-        probe=_compose_probe(probe, spans, watchdogs, _metrics_probe(metrics, "cogcomp")),
-        profiler=profiler,
+    def source_done(protocols: list[CogComp]) -> Callable[[Any], bool]:
+        return lambda _: protocols[source].done
+
+    def outcome(result: RunResult, protocols: list[CogComp]) -> str:
+        if any(protocol.failed for protocol in protocols):
+            return "failed"
+        return completion_outcome(result, protocols)
+
+    result, protocols = drive(
+        "cogcomp", network, factory, source_done, max_slots,
+        seed=seed, outcome=outcome, collision=collision, trace=trace,
+        probe=probe, profiler=profiler, spans=spans, watchdogs=watchdogs,
+        metrics=metrics, resources=resources, telemetry=telemetry,
         backend=backend,
     )
-    protocols: list[CogComp] = engine.protocols  # type: ignore[assignment]
     source_protocol = protocols[source]
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=lambda _: source_protocol.done)
-    elapsed_s = perf_counter() - run_start
     failures = tuple(
         node for node, protocol in enumerate(protocols) if protocol.failed
-    )
-    if failures:
-        outcome = "failed"
-    elif result.completed:
-        outcome = "completed"
-    else:
-        outcome = "budget"
-    _emit_run(
-        telemetry,
-        protocol="cogcomp",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        outcome=outcome,
-        probe=probe,
-        profiler=profiler,
-        spans=spans,
-        watchdogs=watchdogs,
-        metrics=metrics,
-        resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
     )
     if require_completion and (not result.completed or failures):
         raise SimulationError(
@@ -393,39 +354,16 @@ def run_gossip(
         initial = [sources[view.node_id]] if view.node_id in sources else []
         return GossipCast(view, initial)
 
-    engine = build_engine(
-        network,
-        factory,
-        seed=seed,
-        collision=collision,
-        probe=_compose_probe(probe, None, (), _metrics_probe(metrics, "gossip")),
-        profiler=profiler,
-        backend=backend,
-    )
-    protocols: list[GossipCast] = engine.protocols  # type: ignore[assignment]
     want = set(sources)
 
-    def all_covered(_: Engine) -> bool:
-        return all(want <= set(protocol.known) for protocol in protocols)
+    def all_covered(protocols: list[GossipCast]) -> Callable[[Any], bool]:
+        return lambda _: all(want <= set(protocol.known) for protocol in protocols)
 
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=all_covered)
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
-        protocol="gossip",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        outcome="completed" if result.completed else "budget",
-        probe=probe,
-        profiler=profiler,
-        metrics=metrics,
-        resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+    result, protocols = drive(
+        "gossip", network, factory, all_covered, max_slots,
+        seed=seed, collision=collision, probe=probe, profiler=profiler,
+        metrics=metrics, resources=resources, telemetry=telemetry,
+        backend=backend,
     )
     return GossipResult(
         slots=result.slots,

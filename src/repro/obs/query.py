@@ -493,15 +493,16 @@ def _explain_one(
     if context.startswith("["):
         context = context.split("] ", 1)[-1]
     lines.append(f"  {run.get('kind')}: {context}")
-    reason = run.get("vector_fallback_reason")
     engaged = run.get("fast_path")
     path_bits = []
     if run.get("backend") is not None:
         path_bits.append(f"backend={run['backend']}")
     if engaged is not None:
         path_bits.append(f"fast_path={'yes' if engaged else 'no'}")
-    if reason is not None:
-        path_bits.append(f"vector_fallback={reason!r}")
+    if run.get("fast_path_reason") is not None:
+        path_bits.append(f"fast_path_reason={run['fast_path_reason']!r}")
+    if run.get("vector_fallback_reason") is not None:
+        path_bits.append(f"vector_fallback={run['vector_fallback_reason']!r}")
     if path_bits:
         lines.append("  execution path: " + ", ".join(path_bits))
     slot = anomaly.get("slot")

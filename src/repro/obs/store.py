@@ -116,7 +116,8 @@ def manifest_entry(
 
     Copies the scalar fields queries filter and group by — identity
     (kind, protocol / experiment / campaign), network shape, outcome,
-    execution path (backend, ``fast_path``, ``vector_fallback_reason``)
+    execution path (backend, ``fast_path``, ``fast_path_reason``,
+    ``vector_fallback_reason``)
     — plus the provenance config and key, the anomaly count, and flags
     for the heavier attachments (metrics / spans) that stay in the
     object file.
@@ -142,6 +143,7 @@ def manifest_entry(
         "outcome",
         "backend",
         "fast_path",
+        "fast_path_reason",
         "vector_fallback_reason",
         "experiment",
         "trials",

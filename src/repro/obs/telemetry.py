@@ -171,11 +171,10 @@ def validate_record(record: Any) -> list[str]:
         backend = record.get("backend")
         if backend is not None and not isinstance(backend, str):
             problems.append(f"backend is {backend!r}, expected string")
-        reason = record.get("vector_fallback_reason")
-        if reason is not None and not isinstance(reason, str):
-            problems.append(
-                f"vector_fallback_reason is {reason!r}, expected string"
-            )
+        for field in ("fast_path_reason", "vector_fallback_reason"):
+            reason = record.get(field)
+            if reason is not None and not isinstance(reason, str):
+                problems.append(f"{field} is {reason!r}, expected string")
     provenance = record.get("provenance")
     if provenance is not None:
         from repro.obs.provenance import validate_provenance
@@ -202,6 +201,7 @@ def run_record(
     resources: Mapping[str, float] | None = None,
     elapsed_s: float | None = None,
     fast_path: bool | None = None,
+    fast_path_reason: str | None = None,
     backend: str | None = None,
     vector_fallback_reason: str | None = None,
     extra: Mapping[str, Any] | None = None,
@@ -218,8 +218,10 @@ def run_record(
     :meth:`repro.obs.metrics.ResourceSampler.delta` mapping; timing
     context rides along as ``elapsed_s`` (harness-measured
     ``perf_counter`` duration of the engine run) and ``fast_path``
-    (whether the fast-path kernel was eligible).  *backend* names the
-    resolved engine backend (defaults to the process-wide default) and
+    (whether the fast-path kernel was eligible), with
+    *fast_path_reason* recording why the exact engine took the general
+    kernel, when it did.  *backend* names the resolved engine backend
+    (defaults to the process-wide default) and
     *vector_fallback_reason* records why the columnar kernel declined
     to engage, when it did.  *extra* keys are merged last (they must
     not shadow schema fields).  The record's ``provenance`` block
@@ -259,6 +261,8 @@ def run_record(
         record["elapsed_s"] = round(float(elapsed_s), 6)
     if fast_path is not None:
         record["fast_path"] = bool(fast_path)
+    if fast_path_reason is not None:
+        record["fast_path_reason"] = fast_path_reason
     record["backend"] = backend
     if vector_fallback_reason is not None:
         record["vector_fallback_reason"] = vector_fallback_reason

@@ -59,10 +59,16 @@ _VOLATILE_FIELDS = ("elapsed_s", "resources", "timings")
 #: Telemetry fields that legitimately differ across the sanitizer's own
 #: perturbed conditions — the backend check runs ``exact`` against
 #: ``vector-replay``, so execution-identity fields (``backend``,
-#: ``fast_path``, ``vector_fallback_reason``) and the provenance block
-#: (whose config hash includes the backend) must not count as
-#: divergence.  Stripped alongside the volatile fields.
-_CONDITION_FIELDS = ("backend", "fast_path", "vector_fallback_reason", "provenance")
+#: ``fast_path``, ``fast_path_reason``, ``vector_fallback_reason``) and
+#: the provenance block (whose config hash includes the backend) must
+#: not count as divergence.  Stripped alongside the volatile fields.
+_CONDITION_FIELDS = (
+    "backend",
+    "fast_path",
+    "fast_path_reason",
+    "vector_fallback_reason",
+    "provenance",
+)
 
 #: The perturbations ``sanitize`` knows how to apply, in run order.
 CHECKS = ("hashseed", "jobs", "backend")

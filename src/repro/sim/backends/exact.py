@@ -39,7 +39,6 @@ class ExactBackend(EngineBackend):
         jammer: "Jammer | None" = None,
         probe: Any = None,
         profiler: Any = None,
-        fast_path: bool = True,
     ) -> Engine:
         return Engine(
             network,
@@ -50,5 +49,4 @@ class ExactBackend(EngineBackend):
             jammer=jammer,
             probe=probe,
             profiler=profiler,
-            fast_path=fast_path,
         )

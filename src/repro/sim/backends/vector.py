@@ -19,7 +19,7 @@ Equivalence contract (see ``docs/performance.md`` "Backends"):
   collision stream.  Final protocol states, ``RunResult``, and both
   RNG stream states are equal draw for draw — this mode exists to
   prove the columnar grouping/collision/delivery machinery exact, and
-  it reuses the fast path's eligibility discipline (exact types only).
+  it shares the fast path's check list (:func:`repro.sim.engine.plan_run`).
 - **Tier B (statistical).**  The default ``rng_mode="numpy"`` draws
   from a :class:`numpy.random.Generator` seeded via the repository's
   seed discipline (``derive_seed(seed, "vector-engine")``).  Runs are
@@ -38,10 +38,10 @@ uninformed nodes listen and become informed on any reception, and no
 node ever terminates on its own).  Any configuration it cannot prove
 equivalent — jammers, non-default collision models, traces, profilers,
 per-event probes, unknown protocols, unknown stop conditions — falls
-back to the exact engine transparently, so ``backend="vector"`` is
-always safe to request.  Aggregate-feed probes
-(:class:`repro.obs.metrics.MetricsProbe`) keep working on the vector
-path via the ``on_vector_run`` hook.
+back to the exact engine transparently, through one exit taken before
+any run hook fires, so ``backend="vector"`` is always safe to request.
+Aggregate-feed probes (:class:`repro.obs.metrics.MetricsProbe`) keep
+working on the vector path via the ``on_vector_run`` hook.
 
 numpy itself is imported lazily: constructing the backend without
 numpy installed raises one actionable error instead of an ImportError
@@ -57,20 +57,16 @@ from repro.sim.backends.base import (
     BackendUnavailableError,
     EngineBackend,
     numpy_available,
-    vector_contract,
 )
-from repro.sim.channels import DynamicSchedule, Network, StaticSchedule
+from repro.sim.channels import Network, StaticSchedule
 from repro.sim.collision import CollisionModel, SingleWinnerCollision
-from repro.sim.engine import Engine, RunResult
+from repro.sim.engine import Engine, ExecutionPlan, RunResult, plan_run
 from repro.sim.rng import derive_rng, derive_seed
 from repro.types import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.protocol import Protocol
     from repro.sim.trace import EventTrace
-
-#: The columnar programs this engine implements, by ``vector_kind``.
-VECTOR_KINDS = ("epidemic-broadcast",)
 
 #: Sentinel for "never informed" in the columnar slot array (``-1`` is
 #: taken: it is the exported value for "informed before slot 0").
@@ -98,9 +94,9 @@ class VectorEngine:
     Exposes the same observable surface as
     :class:`repro.sim.engine.Engine` (``protocols``, ``network``,
     ``rng``, ``run``, ``all_done``, ``fast_path_engaged``) so runners
-    never branch on the backend.  Whether the most recent ``run`` used
-    the columnar kernel is recorded in :attr:`vector_engaged`; when it
-    fell back, :attr:`vector_fallback_reason` says why.
+    never branch on the backend.  The most recent ``run``'s
+    :class:`~repro.sim.engine.ExecutionPlan` is :attr:`plan`;
+    :attr:`vector_engaged` and :attr:`vector_fallback_reason` read it.
 
     Parameters mirror :class:`~repro.sim.engine.Engine`, plus:
 
@@ -123,7 +119,6 @@ class VectorEngine:
         jammer: Jammer | None = None,
         probe: Any = None,
         profiler: Any = None,
-        fast_path: bool = True,
         rng_mode: str = "numpy",
     ) -> None:
         if len(protocols) != network.num_nodes:
@@ -139,17 +134,14 @@ class VectorEngine:
         self.trace = trace
         self.jammer = jammer or NullJammer()
         self.profiler = profiler
-        self.fast_path = fast_path
         self.rng_mode = rng_mode
         self.slot = 0
-        self.fast_path_engaged = False
-        #: Whether the most recent :meth:`run` used the columnar kernel.
-        self.vector_engaged = False
-        #: Why the most recent :meth:`run` fell back (``None`` = engaged).
-        self.vector_fallback_reason: str | None = None
+        #: The most recent :meth:`run`'s plan (``None`` before any run).
+        self.plan: ExecutionPlan | None = None
         self._seed = seed
         self._np_rng = None
         self._exact: Engine | None = None
+        self._exports: list[dict[str, Any]] | None = None
         self._vector_run_active = False
         self._probe = None
         self.probe = probe
@@ -176,6 +168,36 @@ class VectorEngine:
     def all_done(self) -> bool:
         return all(protocol.done for protocol in self.protocols)
 
+    @property
+    def vector_engaged(self) -> bool:
+        """Whether the most recent :meth:`run` used the columnar kernel."""
+        return self.plan is not None and self.plan.kernel == "vector"
+
+    @property
+    def vector_fallback_reason(self) -> str | None:
+        """Why the most recent :meth:`run` fell back (``None`` = engaged)."""
+        return None if self.plan is None else self.plan.reason
+
+    @property
+    def fast_path_engaged(self) -> bool:
+        """Whether the most recent run fell back onto the fast kernel."""
+        return self._fell_back() and self._exact.fast_path_engaged
+
+    @property
+    def fast_path_reason(self) -> str | None:
+        """Why the most recent run fell back onto the general kernel."""
+        return self._exact.fast_path_reason if self._fell_back() else None
+
+    def _fell_back(self) -> bool:
+        """Whether the most recent run went to the exact engine."""
+        return self._exact is not None and not self.vector_engaged
+
+    def vector_exports(self) -> list[dict[str, Any]]:
+        """Every node's ``vector_export()``, snapshotted once per run."""
+        if self._exports is None:
+            self._exports = [protocol.vector_export() for protocol in self.protocols]
+        return self._exports
+
     def run(
         self,
         max_slots: int,
@@ -187,20 +209,20 @@ class VectorEngine:
 
         Effects: rng.
         """
-        reason = self._vector_ineligible_reason(stop_when)
-        self.vector_fallback_reason = reason
-        self.vector_engaged = reason is None
-        if reason is not None:
+        self._exports = None
+        self.plan = plan_run(self, stop_when, "vector")
+        exports, self._exports = self._exports, None
+        if self.plan.kernel != "vector":
+            # The single fallback exit, taken before any run hook fires
+            # or any state mutates: the exact engine owns the whole run.
             engine = self._exact_engine()
             result = engine.run(
                 max_slots,
                 stop_when=stop_when,
                 require_completion=require_completion,
             )
-            self.fast_path_engaged = engine.fast_path_engaged
             self.slot = engine.slot
             return result
-        self.fast_path_engaged = False
         probe = self._probe
         if probe is not None:
             probe.on_run_start(
@@ -210,7 +232,7 @@ class VectorEngine:
             )
         self._vector_run_active = True
         try:
-            executed, completed = self._run_vector(max_slots, stop_when)
+            executed, completed = self._run_vector(max_slots, stop_when, exports)
         finally:
             self._vector_run_active = False
         if probe is not None:
@@ -222,43 +244,6 @@ class VectorEngine:
         return RunResult(
             slots=executed, completed=completed, all_done=self.all_done
         )
-
-    # -- eligibility ----------------------------------------------------
-
-    def _vector_ineligible_reason(self, stop_when: Any) -> str | None:
-        """Why this run must take the exact engine (``None`` = columnar).
-
-        Mirrors the fast path's discipline: exact types only, because a
-        subclass overriding any hook would change semantics the kernel
-        hard-codes.  Unknown protocols or stop conditions are not an
-        error — the exact engine handles everything — so requesting the
-        vector backend never changes observable behavior, only speed.
-        """
-        if self.trace is not None:
-            return "event trace attached"
-        if self.profiler is not None:
-            return "profiler attached"
-        probe = self._probe
-        if probe is not None and not callable(getattr(probe, "on_vector_run", None)):
-            return "probe without aggregate (on_vector_run) support"
-        if type(self.jammer) is not NullJammer:
-            return "jamming adversary attached"
-        if type(self.collision) is not SingleWinnerCollision:
-            return "non-default collision model"
-        if type(self.network) is not Network:
-            return "network subclass"
-        if self.network.translation_probe is not None:
-            return "translation probe attached"
-        if type(self.network.schedule) not in (StaticSchedule, DynamicSchedule):
-            return "unknown schedule type"
-        if stop_when is not None and (
-            getattr(stop_when, "vector_condition", None) != "all_informed"
-        ):
-            return "stop condition has no columnar form"
-        for protocol in self.protocols:
-            if type(protocol).__dict__.get("vector_kind") not in VECTOR_KINDS:
-                return "protocol has no columnar program"
-        return None
 
     def _exact_engine(self) -> Engine:
         """The lazily built fallback engine, sharing the collision stream."""
@@ -272,7 +257,6 @@ class VectorEngine:
                 jammer=self.jammer,
                 probe=self._probe,
                 profiler=self.profiler,
-                fast_path=self.fast_path,
             )
             # One collision stream across both kernels: a replay-mode
             # vector run followed by a fallback run keeps drawing from
@@ -282,8 +266,10 @@ class VectorEngine:
 
     # -- the columnar kernel --------------------------------------------
 
-    def _run_vector(self, max_slots: int, stop_when: Any) -> tuple[int, bool]:
-        """Run the ``epidemic-broadcast`` columnar program.
+    def _run_vector(
+        self, max_slots: int, stop_when: Any, exports: list[dict[str, Any]]
+    ) -> tuple[int, bool]:
+        """Run the ``epidemic-broadcast`` columnar program from *exports*.
 
         Effects: rng.
         """
@@ -292,39 +278,6 @@ class VectorEngine:
         n = network.num_nodes
         c = network.channels_per_node
         protocols = self.protocols
-        exports = [protocol.vector_export() for protocol in protocols]
-        contract = vector_contract("epidemic-broadcast")
-        if contract is not None:
-            for export in exports:
-                missing = contract.missing_fields(export)
-                if missing:
-                    # A declared-contract violation (a protocol whose
-                    # export omits fields the kernel materializes) is
-                    # not an error: fall back before any state mutates,
-                    # exactly like the other ineligibility paths, and
-                    # name the missing fields so the gap is visible.
-                    self.vector_engaged = False
-                    self.vector_fallback_reason = (
-                        "vector export missing contract fields: "
-                        + ", ".join(missing)
-                    )
-                    engine = self._exact_engine()
-                    result = engine.run(max_slots, stop_when=stop_when)
-                    self.fast_path_engaged = engine.fast_path_engaged
-                    self.slot = engine.slot
-                    return result.slots, result.completed
-        if any(export.get("keep_log") for export in exports):
-            # Logs are per-slot Python records; populations that keep
-            # them (COGCOMP phase one) take the exact engine.  Checked
-            # here, before any state mutates, so falling back is safe.
-            self.vector_engaged = False
-            self.vector_fallback_reason = "protocol keeps a per-slot log"
-            engine = self._exact_engine()
-            result = engine.run(max_slots, stop_when=stop_when)
-            self.fast_path_engaged = engine.fast_path_engaged
-            self.slot = engine.slot
-            return result.slots, result.completed
-
         informed = np.array([bool(e["informed"]) for e in exports], dtype=bool)
         messages: list[Any] = [e["message"] for e in exports]
         parent = np.array(
@@ -529,7 +482,6 @@ class VectorBackend(EngineBackend):
         jammer: Jammer | None = None,
         probe: Any = None,
         profiler: Any = None,
-        fast_path: bool = True,
     ) -> VectorEngine:
         _numpy()
         return VectorEngine(
@@ -541,6 +493,5 @@ class VectorBackend(EngineBackend):
             jammer=jammer,
             probe=probe,
             profiler=profiler,
-            fast_path=fast_path,
             rng_mode=self.rng_mode,
         )

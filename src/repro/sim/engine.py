@@ -27,8 +27,9 @@ static schedule, no jammer, the paper's single-winner collision model,
 no instrumentation — and switches to a specialized step kernel that
 precomputes the label→channel tables and skips every hook, while
 producing bit-identical results (same outcomes, same RNG stream, same
-errors).  See :meth:`Engine._fast_path_eligible` and
-``docs/performance.md``.
+errors).  Every kernel choice, here and in the vector backend, comes
+from one ordered check list (:func:`plan_run`) and is recorded with
+the reason the faster kernel declined; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.sim.actions import Action, Broadcast, Envelope, Idle, Listen, SlotOutcome
 from repro.sim.adversary import Jammer, NullJammer
-from repro.sim.channels import Network, StaticSchedule
+from repro.sim.channels import DynamicSchedule, Network, StaticSchedule
 from repro.sim.collision import CollisionModel, SingleWinnerCollision
 from repro.sim.protocol import NodeView, Protocol
 from repro.sim.rng import derive_rng
@@ -67,6 +68,98 @@ class RunResult:
     slots: int
     completed: bool
     all_done: bool
+
+
+@dataclass(frozen=True, slots=True)
+class ExecutionPlan:
+    """The kernel one run uses, and why the faster candidate declined.
+
+    Attributes
+    ----------
+    kernel: ``"fast"`` or ``"general"`` for :class:`Engine`;
+        ``"vector"`` or ``"exact"`` (hand the run to the exact engine,
+        which plans its own kernel) for the vector backend.
+    reason: ``None`` when the candidate kernel engaged, otherwise the
+        first check that declined it (e.g. ``"probe attached"``).
+    """
+
+    kernel: str
+    reason: str | None = None
+
+
+def _declined(engine: Any, stop_when: Any, candidate: str) -> str | None:
+    """The first check declining *candidate* for this run, or ``None``.
+
+    One ordered check list for both faster kernels: the shared checks
+    first, then the fast kernel's static-schedule requirement, then the
+    vector kernel's per-node checks, its two export checks last
+    (``engine.vector_exports()`` snapshots every node once per run).
+    Exact types, not ``isinstance``: a subclass overriding a hook would
+    change semantics the faster kernels hard-code.
+    """
+    vector = candidate == "vector"
+    if engine.trace is not None:
+        return "event trace attached"
+    if engine.profiler is not None:
+        return "profiler attached"
+    probe = engine.probe
+    if probe is not None:
+        if not vector:
+            return "probe attached"
+        if not callable(getattr(probe, "on_vector_run", None)):
+            return "probe without aggregate (on_vector_run) support"
+    if type(engine.jammer) is not NullJammer:
+        return "jamming adversary attached"
+    if type(engine.collision) is not SingleWinnerCollision:
+        return "non-default collision model"
+    network = engine.network
+    if type(network) is not Network:
+        return "network subclass"
+    if network.translation_probe is not None:
+        return "translation probe attached"
+    schedule = type(network.schedule)
+    if not vector:
+        return None if schedule is StaticSchedule else "non-static schedule"
+    if schedule is not StaticSchedule and schedule is not DynamicSchedule:
+        return "unknown schedule type"
+    if stop_when is not None and (
+        getattr(stop_when, "vector_condition", None) != "all_informed"
+    ):
+        return "stop condition has no columnar form"
+    # Imported here, not at module top: backends import this module.
+    from repro.sim.backends.base import VECTOR_CONTRACTS
+
+    contracts = [
+        VECTOR_CONTRACTS.get(type(protocol).__dict__.get("vector_kind"))
+        for protocol in engine.protocols
+    ]
+    if None in contracts:
+        return "protocol has no columnar program"
+    exports = engine.vector_exports()
+    for contract, export in zip(contracts, exports):
+        missing = contract.missing_fields(export)
+        if missing:
+            return "vector export missing contract fields: " + ", ".join(missing)
+    if any(export.get("keep_log") for export in exports):
+        # Logs are per-slot Python records; populations that keep
+        # them (COGCOMP phase one) take the exact engine.
+        return "protocol keeps a per-slot log"
+    return None
+
+
+def plan_run(engine: Any, stop_when: Any, candidate: str) -> ExecutionPlan:
+    """Plan one run of *engine* on *candidate* (``"fast"``/``"vector"``).
+
+    Returns the candidate, or its fallback with the declining reason.
+    Declining is never an error: the fallback kernel handles every
+    configuration, so the plan changes speed only, never observable
+    behavior.  The exact engine falls back to ``"general"``; the vector
+    engine to ``"exact"``, which plans again between fast and general.
+    """
+    reason = _declined(engine, stop_when, candidate)
+    if reason is None:
+        return ExecutionPlan(candidate)
+    return ExecutionPlan("general" if candidate == "fast" else "exact", reason)
 
 
 class Engine:
@@ -101,13 +194,13 @@ class Engine:
         Optional profiler (see :mod:`repro.obs.profiler`).  Populates
         the ``engine.collect`` / ``engine.resolve`` / ``engine.deliver``
         wall-time sections.
-    fast_path:
-        Allow :meth:`run` to use the specialized step kernel when the
-        configuration permits (see :meth:`_fast_path_eligible`).  The
-        kernel is bit-identical to the general one — same outcomes,
-        same RNG stream, same errors — so this is purely a performance
-        switch; set False to force the general kernel (used by the
-        equivalence tests).
+
+    :meth:`run` uses the specialized fast kernel whenever
+    :func:`plan_run` allows it.  The kernel is bit-identical to the
+    general one — same outcomes, same RNG stream, same errors — so the
+    choice is purely a performance matter; attaching any instrument
+    (e.g. a no-op :class:`~repro.obs.probe.SlotProbe`) forces the
+    general reference kernel.
     """
 
     def __init__(
@@ -121,7 +214,6 @@ class Engine:
         jammer: Jammer | None = None,
         probe: "SlotProbe | None" = None,
         profiler: "Profiler | None" = None,
-        fast_path: bool = True,
     ) -> None:
         if len(protocols) != network.num_nodes:
             raise ValueError(
@@ -139,9 +231,18 @@ class Engine:
         self._fast_run_active = False
         self.probe = probe
         self.slot = 0
-        self.fast_path = fast_path
-        #: Whether the most recent :meth:`run` used the fast kernel.
-        self.fast_path_engaged = False
+        #: The most recent :meth:`run`'s plan (``None`` before any run).
+        self.plan: ExecutionPlan | None = None
+
+    @property
+    def fast_path_engaged(self) -> bool:
+        """Whether the most recent :meth:`run` used the fast kernel."""
+        return self.plan is not None and self.plan.kernel == "fast"
+
+    @property
+    def fast_path_reason(self) -> str | None:
+        """Why the most recent :meth:`run` took the general kernel."""
+        return None if self.plan is None else self.plan.reason
 
     @property
     def probe(self) -> "SlotProbe | None":
@@ -310,30 +411,6 @@ class Engine:
 
         self.slot += 1
 
-    def _fast_path_eligible(self) -> bool:
-        """Whether :meth:`run` may use the specialized step kernel.
-
-        The common benchmark configuration — a static assignment, no
-        jamming, the paper's single-winner contention model, and no
-        instrumentation — pays for generality it never uses: per-action
-        ``schedule.at`` lookups, the jammer query, and a handful of
-        ``is None`` hook checks every slot.  The fast kernel elides all
-        of that.  Exact types are required (not ``isinstance``) because
-        a subclass overriding any of these hooks would change the
-        semantics the kernel hard-codes.
-        """
-        return (
-            self.fast_path
-            and self.trace is None
-            and self._probe is None
-            and self.profiler is None
-            and type(self.jammer) is NullJammer
-            and type(self.collision) is SingleWinnerCollision
-            and type(self.network) is Network
-            and type(self.network.schedule) is StaticSchedule
-            and self.network.translation_probe is None
-        )
-
     def _run_fast(
         self, max_slots: int, condition: Callable[["Engine"], bool]
     ) -> tuple[int, bool]:
@@ -474,13 +551,14 @@ class Engine:
 
         When the configuration allows (static schedule, no jammer, the
         default collision model, no instrumentation — see
-        :meth:`_fast_path_eligible`), the run uses a specialized kernel
-        that produces bit-identical results faster; whether it engaged
-        is recorded in :attr:`fast_path_engaged`.
+        :func:`plan_run`), the run uses a specialized kernel that
+        produces bit-identical results faster; the choice and its
+        reason are recorded in :attr:`plan`.
 
         Effects: rng, perf-counter.
         """
         condition = stop_when if stop_when is not None else (lambda engine: engine.all_done)
+        self.plan = plan_run(self, stop_when, "fast")
         probe = self._probe
         if probe is not None:
             probe.on_run_start(
@@ -488,8 +566,7 @@ class Engine:
                 num_channels=self.network.channels_per_node,
                 overlap=self.network.overlap,
             )
-        self.fast_path_engaged = self._fast_path_eligible()
-        if self.fast_path_engaged:
+        if self.plan.kernel == "fast":
             self._fast_run_active = True
             try:
                 executed, completed = self._run_fast(max_slots, condition)
@@ -535,7 +612,6 @@ def build_engine(
     jammer: Jammer | None = None,
     probe: "SlotProbe | None" = None,
     profiler: "Profiler | None" = None,
-    fast_path: bool = True,
     backend: object = None,
 ) -> Any:
     """Convenience constructor: build views, protocols, and the engine.
@@ -567,5 +643,4 @@ def build_engine(
         jammer=jammer,
         probe=probe,
         profiler=profiler,
-        fast_path=fast_path,
     )

@@ -282,6 +282,54 @@ class TestFallbackTransparency:
             "probe without aggregate (on_vector_run) support"
         )
 
+    def test_export_fallback_fires_run_hooks_once(self):
+        """Falling back on an export check must not re-fire run hooks.
+
+        ``keep_log`` is only visible in the nodes' exports; the fallback
+        it triggers used to fire ``on_run_start``/``on_run_end`` twice,
+        counting one 9-slot run as two in ``sim_runs``.
+        """
+
+        def factory(view):
+            return CogCast(view, is_source=(view.node_id == 0), keep_log=True)
+
+        snapshots = {}
+        for backend in ("exact", "vector-replay", "vector"):
+            registry = MetricsRegistry()
+            engine = build_engine(
+                make_network(0, n=32, c=6, k=2),
+                factory,
+                seed=0,
+                probe=MetricsProbe(registry, protocol="cogcast"),
+                backend=backend,
+            )
+            engine.run(10_000, stop_when=AllInformed(engine.protocols))
+            if backend != "exact":
+                assert engine.vector_fallback_reason == "protocol keeps a per-slot log"
+            snapshots[backend] = registry.snapshot()
+        assert snapshots["vector-replay"] == snapshots["exact"]
+        assert snapshots["vector"] == snapshots["exact"]
+        (runs,) = snapshots["exact"]["metrics"]["sim_runs"]["series"]
+        assert runs["value"] == 1.0
+
+    def test_missing_contract_fields_fall_back(self):
+        class Partial(CogCast):
+            vector_kind = "epidemic-broadcast"
+
+            def vector_export(self):
+                export = super().vector_export()
+                del export["rng"], export["parent"]
+                return export
+
+        engine = self.run_vector(
+            factory=lambda view: Partial(view, is_source=(view.node_id == 0))
+        )
+        assert not engine.vector_engaged
+        assert engine.vector_fallback_reason == (
+            "vector export missing contract fields: parent, rng"
+        )
+        assert engine.fast_path_engaged
+
     def test_fallback_matches_exact_bit_for_bit(self):
         """A traced vector-backend run IS a traced exact run."""
         trace_exact, trace_vector = EventTrace(), EventTrace()

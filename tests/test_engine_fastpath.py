@@ -6,6 +6,9 @@ be indistinguishable from the general path — same ``RunResult``, same
 final protocol states, same RNG stream, same errors, and a traced
 re-run of the same seed must reproduce the exact ``EventTrace`` either
 way.  Ineligible configurations must quietly take the general kernel.
+
+The reference general kernel is forced the way users force it: by
+attaching an instrument, here a no-op :class:`SlotProbe`.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from repro.core import (
     run_data_aggregation,
     run_local_broadcast,
 )
+from repro.obs.probe import SlotProbe
 from repro.sim import EventTrace, Network
 from repro.sim.actions import Broadcast, Listen
 from repro.sim.adversary import RandomJammer
 from repro.sim.collision import AllDeliveredCollision
-from repro.sim.engine import build_engine
+from repro.sim.engine import ExecutionPlan, build_engine
 from repro.sim.protocol import Protocol
 from repro.types import ProtocolViolationError
 
@@ -42,14 +46,17 @@ def cogcast_factory(view):
     return CogCast(view, is_source=(view.node_id == 0))
 
 
-def drive_cogcast(seed: int, *, fast_path: bool, trace=None):
-    """One seeded COGCAST run to completion; returns everything observable."""
+def drive_cogcast(seed: int, *, general: bool, trace=None):
+    """One seeded COGCAST run to completion; returns everything observable.
+
+    *general* attaches a no-op probe, which forces the general kernel.
+    """
     engine = build_engine(
         make_network(seed),
         cogcast_factory,
         seed=seed,
         trace=trace,
-        fast_path=fast_path,
+        probe=SlotProbe() if general else None,
     )
     protocols = engine.protocols
     result = engine.run(
@@ -63,10 +70,10 @@ class TestCogcastEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_identical_result_states_and_rng_stream(self, seed):
         fast_engine, fast_result, fast_states = drive_cogcast(
-            seed, fast_path=True
+            seed, general=False
         )
         slow_engine, slow_result, slow_states = drive_cogcast(
-            seed, fast_path=False
+            seed, general=True
         )
         assert fast_engine.fast_path_engaged
         assert not slow_engine.fast_path_engaged
@@ -79,13 +86,13 @@ class TestCogcastEquivalence:
     def test_traced_rerun_identical_eventtrace(self, seed):
         """Tracing a seed must yield one EventTrace, whichever kernel the
         untraced run used (tracing itself forces the general path)."""
-        _, fast_result, _ = drive_cogcast(seed, fast_path=True)
+        _, fast_result, _ = drive_cogcast(seed, general=False)
         trace_after_fast = EventTrace()
         _, traced_result, _ = drive_cogcast(
-            seed, fast_path=True, trace=trace_after_fast
+            seed, general=False, trace=trace_after_fast
         )
         trace_general = EventTrace()
-        drive_cogcast(seed, fast_path=False, trace=trace_general)
+        drive_cogcast(seed, general=True, trace=trace_general)
         assert traced_result == fast_result
         assert list(trace_after_fast.events) == list(trace_general.events)
 
@@ -147,23 +154,24 @@ class LabelAbuser(Protocol):
 class TestErrorEquivalence:
     def test_identical_protocol_violation_message(self):
         messages = []
-        for fast_path in (True, False):
-            engine = build_engine(
-                make_network(3), LabelAbuser, seed=3, fast_path=fast_path
-            )
+        for probe in (None, SlotProbe()):
+            engine = build_engine(make_network(3), LabelAbuser, seed=3, probe=probe)
             with pytest.raises(ProtocolViolationError) as excinfo:
                 engine.run(10)
+            assert engine.fast_path_engaged is (probe is None)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
 
 class TestEligibility:
-    def test_opt_out_flag(self):
+    def test_noop_probe_forces_general_kernel(self):
         engine = build_engine(
-            make_network(0), cogcast_factory, seed=0, fast_path=False
+            make_network(0), cogcast_factory, seed=0, probe=SlotProbe()
         )
         engine.run(5)
         assert not engine.fast_path_engaged
+        assert engine.plan == ExecutionPlan("general", "probe attached")
+        assert engine.fast_path_reason == "probe attached"
 
     def test_trace_disables(self):
         engine = build_engine(
@@ -171,6 +179,7 @@ class TestEligibility:
         )
         engine.run(5)
         assert not engine.fast_path_engaged
+        assert engine.fast_path_reason == "event trace attached"
 
     def test_jammer_disables(self):
         engine = build_engine(
@@ -181,6 +190,7 @@ class TestEligibility:
         )
         engine.run(5)
         assert not engine.fast_path_engaged
+        assert engine.fast_path_reason == "jamming adversary attached"
 
     def test_collision_model_disables(self):
         engine = build_engine(
@@ -191,6 +201,7 @@ class TestEligibility:
         )
         engine.run(5)
         assert not engine.fast_path_engaged
+        assert engine.fast_path_reason == "non-default collision model"
 
     def test_dynamic_schedule_disables(self):
         schedule = dynamic_shared_core_schedule(24, 6, 2, seed=0)
@@ -199,8 +210,10 @@ class TestEligibility:
         )
         engine.run(5)
         assert not engine.fast_path_engaged
+        assert engine.fast_path_reason == "non-static schedule"
 
     def test_default_engages(self):
         engine = build_engine(make_network(0), cogcast_factory, seed=0)
         engine.run(5)
         assert engine.fast_path_engaged
+        assert engine.plan == ExecutionPlan("fast")

@@ -28,6 +28,7 @@ from repro.obs import (
     CountersProbe,
     FixedHistogram,
     HistogramProbe,
+    MetricsRegistry,
     MultiProbe,
     Profiler,
     ProtocolProbe,
@@ -640,43 +641,96 @@ class TestTelemetrySink:
         assert summarize_records([]) == "no telemetry records"
 
 
-class TestRunnerTelemetry:
-    def test_core_runners_emit_manifests(self):
-        network = small_network()
-        handle = io.StringIO()
-        sink = TelemetrySink(handle)
-        run_local_broadcast(network, seed=1, max_slots=5000, telemetry=sink)
-        run_gossip(network, {0: "a", 1: "b"}, seed=1, max_slots=5000, telemetry=sink)
-        run_data_aggregation(
-            network, list(range(network.num_nodes)), seed=1, telemetry=sink
-        )
-        records = [json.loads(line) for line in handle.getvalue().splitlines()]
-        assert [r["protocol"] for r in records] == ["cogcast", "gossip", "cogcomp"]
-        assert all(validate_record(r) == [] for r in records)
+#: Why each runner's population declines the columnar kernel on a
+#: vector backend (``None``: the kernel engages).
+VECTOR_FALLBACK = {
+    "cogcast": None,
+    "gossip": "stop condition has no columnar form",
+    "cogcomp": "stop condition has no columnar form",
+    "rendezvous-broadcast": "protocol has no columnar program",
+    "stay-and-scan": "protocol has no columnar program",
+    "rendezvous-aggregation": "stop condition has no columnar form",
+    "hopping-together": "protocol has no columnar program",
+}
 
-    def test_baseline_runners_emit_manifests(self):
+
+def emitted_records(run_all, backend):
+    """Records of *run_all* run once bare and once with ``metrics=``.
+
+    *run_all* drives every runner under test with the given extra
+    keyword arguments; each runner gets a fresh registry.
+    """
+    handle = io.StringIO()
+    sink = TelemetrySink(handle)
+    run_all(lambda: {"telemetry": sink, "backend": backend})
+    run_all(
+        lambda: {"telemetry": sink, "backend": backend, "metrics": MetricsRegistry()}
+    )
+    return [json.loads(line) for line in handle.getvalue().splitlines()]
+
+
+def assert_execution_paths(records, backend):
+    """Every record names its backend, kernel, and why faster ones declined."""
+    for record in records:
+        assert validate_record(record) == []
+        protocol = record["protocol"]
+        metrics = record.get("metrics")
+        assert record["backend"] == backend
+        assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] >= 0
+        vector_reason = None if backend == "exact" else VECTOR_FALLBACK[protocol]
+        columnar = backend != "exact" and vector_reason is None
+        assert record.get("vector_fallback_reason") == vector_reason
+        # Any probe (here the metrics feeder) forces the general kernel.
+        assert record["fast_path"] is (not columnar and metrics is None)
+        assert record.get("fast_path_reason") == (
+            "probe attached" if metrics is not None and not columnar else None
+        )
+        if metrics is not None:
+            (series,) = metrics["metrics"]["sim_runs"]["series"]
+            assert series == {"labels": [protocol], "value": 1.0}
+
+
+class TestRunnerTelemetry:
+    @pytest.mark.parametrize("backend", ["exact", "vector-replay"])
+    def test_core_runners_emit_manifests(self, backend):
+        network = small_network()
+
+        def run_all(kwargs):
+            run_local_broadcast(network, seed=1, max_slots=5000, **kwargs())
+            run_gossip(network, {0: "a", 1: "b"}, seed=1, max_slots=5000, **kwargs())
+            run_data_aggregation(
+                network, list(range(network.num_nodes)), seed=1, **kwargs()
+            )
+
+        records = emitted_records(run_all, backend)
+        assert [r["protocol"] for r in records] == ["cogcast", "gossip", "cogcomp"] * 2
+        assert_execution_paths(records, backend)
+
+    @pytest.mark.parametrize("backend", ["exact", "vector-replay"])
+    def test_baseline_runners_emit_manifests(self, backend):
         network = small_network()
         assignment = network.assignment_at(0)
-        handle = io.StringIO()
-        sink = TelemetrySink(handle)
-        run_rendezvous_broadcast(network, seed=1, max_slots=50_000, telemetry=sink)
-        run_stay_and_scan_broadcast(network, seed=1, telemetry=sink)
-        run_rendezvous_aggregation(
-            network,
-            list(range(network.num_nodes)),
-            seed=1,
-            max_slots=50_000,
-            telemetry=sink,
-        )
-        run_hopping_together(assignment, seed=1, max_slots=50_000, telemetry=sink)
-        records = [json.loads(line) for line in handle.getvalue().splitlines()]
+
+        def run_all(kwargs):
+            run_rendezvous_broadcast(network, seed=1, max_slots=50_000, **kwargs())
+            run_stay_and_scan_broadcast(network, seed=1, **kwargs())
+            run_rendezvous_aggregation(
+                network,
+                list(range(network.num_nodes)),
+                seed=1,
+                max_slots=50_000,
+                **kwargs(),
+            )
+            run_hopping_together(assignment, seed=1, max_slots=50_000, **kwargs())
+
+        records = emitted_records(run_all, backend)
         assert [r["protocol"] for r in records] == [
             "rendezvous-broadcast",
             "stay-and-scan",
             "rendezvous-aggregation",
             "hopping-together",
-        ]
-        assert all(validate_record(r) == [] for r in records)
+        ] * 2
+        assert_execution_paths(records, backend)
 
     def test_budget_outcome_recorded(self):
         handle = io.StringIO()

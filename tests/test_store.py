@@ -143,9 +143,11 @@ class TestProvenance:
         )
         record["backend"] = 7
         record["vector_fallback_reason"] = ["not", "a", "string"]
+        record["fast_path_reason"] = False
         problems = validate_record(record)
         assert any("backend" in p for p in problems)
         assert any("vector_fallback_reason" in p for p in problems)
+        assert any("fast_path_reason" in p for p in problems)
 
 
 class TestExecutionPathFields:
@@ -255,10 +257,12 @@ class TestRunStore:
 
     def test_manifest_entry_carries_query_fields(self, tmp_path):
         shard = tmp_path / "shard.jsonl"
-        records = _write_runs(shard, seeds=(0,))
+        records = _write_runs(shard, seeds=(0,), spans=True)
         entry = manifest_entry(records[0], [])
         for field in ("kind", "protocol", "n", "slots", "outcome", "backend"):
             assert field in entry
+        assert entry["fast_path"] is False
+        assert entry["fast_path_reason"] == "probe attached"
 
 
 class TestQuery:
@@ -388,6 +392,7 @@ class TestExplain:
         assert "span path: run[0," in report
         assert "slot=" in report
         assert "execution path: backend=exact" in report
+        assert "fast_path_reason='probe attached'" in report
         assert "tree: nodes=" in report
 
     def test_explain_filters_by_rule_and_index(self, tmp_path):
