@@ -7,7 +7,7 @@
 PYTHON ?= python
 JOBS ?= 1
 
-.PHONY: install test lint lint-all lint-baseline bench bench-save bench-check sanitize experiments report examples obs-demo trace-demo metrics-demo vector-demo store-demo all
+.PHONY: install test lint lint-all lint-baseline bench bench-save bench-check perfbench-test sanitize experiments report examples obs-demo trace-demo metrics-demo vector-demo store-demo all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -44,6 +44,13 @@ bench-save:
 bench-check:
 	PYTHONPATH=src $(PYTHON) -m repro bench check --history 'BENCH_*.json' \
 		--report bench_report.json
+
+# Tests of the repository benchmark (perfbench/, see BENCHMARK.json):
+# tiny runs of every workload, traced and untraced, so a renamed or
+# removed tracer entry point fails here rather than reading 0.
+# perfbench loads src/repro itself, so no PYTHONPATH is needed.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Dual-run determinism sanitizer: re-run every registered experiment
 # (small seeded configuration) under perturbed PYTHONHASHSEED / jobs /

@@ -30,6 +30,10 @@ Subpackages
 - :mod:`repro.experiments` — the per-claim experiment registry
 """
 
+# Defined before the subpackage imports: provenance reads it while they
+# run, to stamp ``pkg-<version>`` outside a git checkout.
+__version__ = "1.0.0"
+
 from repro import (
     analysis,
     apps,
@@ -52,8 +56,6 @@ from repro.types import (
     SimulationError,
     Slot,
 )
-
-__version__ = "1.0.0"
 
 __all__ = [
     "Channel",

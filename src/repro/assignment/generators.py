@@ -62,14 +62,15 @@ def shared_core(n: int, c: int, k: int, rng: random.Random) -> ChannelAssignment
     universe_size = k + n * (c - k)
     universe = list(range(universe_size))
     rng.shuffle(universe)
-    shared = universe[:k]
-    private_pool = universe[k:]
-    channels = []
-    for node in range(n):
-        start = node * (c - k)
-        private = private_pool[start : start + (c - k)]
-        channels.append(tuple(shared + private))
-    return ChannelAssignment(tuple(channels), overlap=k)
+    shared = tuple(universe[:k])
+    if c == k:
+        return ChannelAssignment((shared,) * n, overlap=k)
+    # Consecutive (c - k)-chunks of the private pool, one per node: the
+    # same tuples the per-node slice loop built, with no per-node list.
+    chunks = zip(*[iter(universe[k:])] * (c - k))
+    return ChannelAssignment(
+        tuple(shared + chunk for chunk in chunks), overlap=k
+    )
 
 
 def random_with_core(

@@ -133,9 +133,12 @@ class CogCast(Protocol):
     def vector_export(self) -> dict[str, Any]:
         """Snapshot the state the vector backend batch-executes.
 
-        ``rng`` is the node's own stream (handed over for replay-mode
-        draws); ``keep_log`` tells the backend this node needs per-slot
-        records it cannot produce, forcing the exact engine.
+        ``draw`` is the node's bound :meth:`NodeView.random_label`:
+        replay mode calls it once per slot, the exact engine's draw on
+        the node's own stream, while numpy mode never calls it, so the
+        stream is never derived.  ``keep_log`` tells the backend this
+        node needs per-slot records it cannot produce, forcing the exact
+        engine.
         """
         return {
             "informed": self.informed,
@@ -145,7 +148,7 @@ class CogCast(Protocol):
             "informed_label": self.informed_label,
             "current_label": self._current_label,
             "keep_log": self.keep_log,
-            "rng": self.view.rng,
+            "draw": self.view.random_label,
         }
 
     def vector_import(self, state: dict[str, Any]) -> None:

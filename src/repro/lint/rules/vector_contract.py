@@ -19,7 +19,7 @@ in its body:
   inherited; the call graph walks project-resolvable bases);
 - field symmetry: every ``state["key"]`` that ``vector_import`` reads
   must be a key ``vector_export`` returns (the reverse is allowed —
-  exports like a live ``rng`` handle are consumed by the kernel, not
+  exports like the ``draw`` method are consumed by the kernel, not
   restored);
 - hidden state: every ``self.<attr>`` assigned, augmented, or mutated
   in place (``append``/``update``/…) inside a step-like method

@@ -14,9 +14,13 @@ Each object file holds one *stored run*: the primary telemetry record
 followed it in its shard — runners emit the run manifest first and
 flush watchdog anomalies immediately after, so file order is the join
 key.  Ingest is **first-write-wins**: re-ingesting a shard (or a
-bitwise-identical re-run) finds the object file already present and
+bitwise-identical re-run) finds the run already in the manifest and
 counts a deduplication instead of rewriting, so the store never
-mutates what it has accepted — append-only by construction.
+mutates what it has accepted — append-only by construction.  A run is
+accepted when the manifest lists it; an object file the manifest does
+not list (an ingest died before its manifest write) is rewritten by the
+next ingest of that run.  Object files are written to a temp file and
+renamed into place, so none is ever left truncated.
 
 The manifest is a single JSON document mapping ``run_id``
 (``<config_hash>/<seed>/<code_version>``) to a compact entry of the
@@ -235,8 +239,8 @@ class RunStore:
         primary record in their shard — the emission-order guarantee of
         the runners (run manifest first, ``flush_anomalies`` second)
         makes file order the join key.  New keys are written as object
-        files; existing keys count as deduplications and are left
-        untouched.
+        files; keys already in the manifest count as deduplications and
+        are left untouched.
         """
         report = IngestReport()
         manifest = self.manifest()
@@ -272,22 +276,31 @@ class RunStore:
         entries: dict[str, Any],
         report: IngestReport,
     ) -> None:
-        """Write one pending run's object file and manifest entry."""
+        """Write one pending run's object file and manifest entry.
+
+        Deduplication keys on manifest membership, not on the object
+        file: an object left behind by an ingest that died before its
+        manifest write was never accepted, so it is rewritten.  The
+        write goes through a temp file and ``os.replace``, so a reader
+        sees the old object or the new one, never a truncated one.
+        """
         run_id = run_id_of(pending.key)
-        path = self.object_path(pending.key)
-        if path.exists():
+        if run_id in entries:
             report.deduplicated += 1
             report.anomalies_attached -= len(pending.anomalies)
             return
+        path = self.object_path(pending.key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": STORE_SCHEMA_VERSION,
             "record": pending.record,
             "anomalies": pending.anomalies,
         }
-        with open(path, "w", encoding="utf-8") as handle:
+        scratch = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        with open(scratch, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True)
             handle.write("\n")
+        os.replace(scratch, path)
         entries[run_id] = manifest_entry(pending.record, pending.anomalies)
         report.ingested += 1
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import abc
 import importlib.util
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -124,7 +124,7 @@ class VectorField:
 
     ``dtype`` names the column representation the kernel materializes
     (``"bool"``, ``"int64"``, or ``"object"`` for values that stay
-    Python-side, like a live RNG handle); ``nullable`` marks fields
+    Python-side, like a bound draw method); ``nullable`` marks fields
     whose per-node value may be ``None`` (unset parent, not-yet-informed
     slot).  Declared dtypes are deliberately wide — ``int64`` and
     ``bool`` are exact under any reduction order, which is what keeps
@@ -141,9 +141,9 @@ class VectorContract:
     """The declared export/import field set for one ``vector_kind``.
 
     A protocol advertising *kind* must export at least these fields
-    from ``vector_export()``; the kernel validates the first export
+    from ``vector_export()``; the kernel checks every node's export
     against the contract and falls back to the exact engine (never
-    crashes, never silently drops state) when fields are missing.
+    crashes, never silently drops state) when any export misses fields.
     Lint rule R11 checks the same property statically, and
     ``repro sanitize`` checks it dynamically — three layers, one
     contract.
@@ -151,19 +151,28 @@ class VectorContract:
 
     kind: str
     fields: tuple[VectorField, ...]
+    _names: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_names", frozenset(spec.name for spec in self.fields)
+        )
 
     def field_names(self) -> frozenset[str]:
-        return frozenset(field.name for field in self.fields)
+        return self._names
 
     def missing_fields(self, export: Mapping[str, Any]) -> list[str]:
         """Contract fields absent from one protocol's export dict."""
-        return sorted(self.field_names() - set(export))
+        if self._names <= export.keys():
+            return []
+        return sorted(self._names.difference(export))
 
 
 #: Declared contracts, keyed by ``vector_kind``.  The epidemic
 #: broadcast contract mirrors ``CogCast``'s exported state exactly:
 #: integer/bool columns for everything the kernel advances, object
-#: fields for the message payload and the live replay RNG handle.
+#: fields for the message payload and ``draw``, the node's bound
+#: ``random_label`` that replay mode calls once per slot.
 VECTOR_CONTRACTS: dict[str, VectorContract] = {
     "epidemic-broadcast": VectorContract(
         kind="epidemic-broadcast",
@@ -175,7 +184,7 @@ VECTOR_CONTRACTS: dict[str, VectorContract] = {
             VectorField("informed_label", "int64", nullable=True),
             VectorField("current_label", "int64"),
             VectorField("keep_log", "bool"),
-            VectorField("rng", "object"),
+            VectorField("draw", "object"),
         ),
     ),
 }

@@ -14,9 +14,9 @@ Equivalence contract (see ``docs/performance.md`` "Backends"):
 - **Tier A (bit-identical).**  With ``rng_mode="replay"`` the kernel
   draws every random number from the same streams, in the same order,
   as the exact engine: one ``randrange(c)`` per node per slot from the
-  node's own :class:`random.Random`, and one ``choice`` per contended
-  channel (ascending physical channel order) from the engine's
-  collision stream.  Final protocol states, ``RunResult``, and both
+  node's own :class:`random.Random` (through its exported ``draw``),
+  and one ``choice`` per contended channel (ascending physical channel
+  order) from the engine's collision stream.  Final protocol states, ``RunResult``, and both
   RNG stream states are equal draw for draw — this mode exists to
   prove the columnar grouping/collision/delivery machinery exact, and
   it shares the fast path's check list (:func:`repro.sim.engine.plan_run`).
@@ -50,6 +50,7 @@ at package import time.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.sim.adversary import Jammer, NullJammer
@@ -72,6 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: taken: it is the exported value for "informed before slot 0").
 _NEVER = -2
 
+#: :func:`dense_table` ranks channels with a presence mask while the
+#: channel-id span is at most this many times the table size.
+_MASK_SPAN_FACTOR = 4
+
+
 def _numpy():
     """Import numpy on first use, with a one-line actionable error.
 
@@ -86,6 +92,30 @@ def _numpy():
             "(pip install 'repro[perf]') or select backend='exact'"
         ) from exc
     return numpy
+
+
+def dense_table(labels: Any, n: int, c: int) -> tuple[Any, int]:
+    """The ``n x c`` label->channel table as dense ids, and their count.
+
+    *labels* is a schedule's ``labels_at`` tuple of per-node channel
+    tuples.  Dense ids rank the physical channels present in ascending
+    order, preserving the order the exact engine resolves channels in.
+    Within a span of a few times the table size the rank is a presence
+    mask's running count, with no sort; a wider span of channel ids
+    (which a mask would have to cover) takes ``np.unique``'s sort.
+    """
+    np = _numpy()
+    table = np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=n * c)
+    low = int(table.min())
+    span = int(table.max()) - low + 1
+    if span > _MASK_SPAN_FACTOR * table.size:
+        uniq, inverse = np.unique(table, return_inverse=True)
+        return inverse.reshape(n, c), len(uniq)
+    table -= low
+    present = np.zeros(span, dtype=bool)
+    present[table] = True
+    rank = np.cumsum(present) - 1
+    return rank[table].reshape(n, c), int(rank[-1]) + 1
 
 
 class VectorEngine:
@@ -303,21 +333,11 @@ class VectorEngine:
         static = type(schedule) is StaticSchedule
         rows = np.arange(n)
 
-        def table_for(slot: int) -> tuple[Any, int]:
-            """Label->channel table for *slot*, remapped to dense channel ids.
-
-            ``np.unique`` sorts ascending, so the dense ids preserve the
-            physical channel order the exact engine resolves channels in.
-            """
-            table = np.asarray(schedule.labels_at(slot), dtype=np.int64)
-            uniq, inverse = np.unique(table, return_inverse=True)
-            return inverse.reshape(n, c), len(uniq)
-
-        table, num_channels = table_for(self.slot)
+        table, num_channels = dense_table(schedule.labels_at(self.slot), n, c)
         replay = self.rng_mode == "replay"
         if replay:
             rng_choice = self.rng.choice
-            label_draws = [e["rng"].randrange for e in exports]
+            label_draws = [e["draw"] for e in exports]
             np_rng = None
         else:
             if self._np_rng is None:
@@ -351,10 +371,10 @@ class VectorEngine:
         while not completed and executed < max_slots:
             slot = self.slot
             if not static:
-                table, num_channels = table_for(slot)
+                table, num_channels = dense_table(schedule.labels_at(slot), n, c)
             if replay:
                 labels = np.fromiter(
-                    (draw(c) for draw in label_draws), dtype=np.int64, count=n
+                    (draw() for draw in label_draws), dtype=np.int64, count=n
                 )
             else:
                 labels = np_rng.integers(0, c, size=n)

@@ -589,17 +589,14 @@ class Engine:
 
 
 def make_views(network: Network, seed: int) -> list[NodeView]:
-    """Construct one :class:`NodeView` per node with independent RNGs."""
-    return [
-        NodeView(
-            node_id=node,
-            num_channels=network.channels_per_node,
-            overlap=network.overlap,
-            num_nodes=network.num_nodes,
-            rng=derive_rng(seed, "node", node),
-        )
-        for node in range(network.num_nodes)
-    ]
+    """Construct one :class:`NodeView` per node with independent RNGs.
+
+    Node ``i``'s stream is ``derive_rng(seed, "node", i)``, derived on
+    the view's first draw: a population the vector kernel runs in
+    numpy mode never seeds one.
+    """
+    c, k, n = network.channels_per_node, network.overlap, network.num_nodes
+    return [NodeView(node, c, k, n, seed=seed) for node in range(n)]
 
 
 def build_engine(

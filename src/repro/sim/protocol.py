@@ -20,15 +20,18 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
+from repro.sim import rng as streams
 from repro.sim.actions import Action, SlotOutcome
 from repro.types import NodeId
 
 
-@dataclass(frozen=True, slots=True)
 class NodeView:
     """A node's local view of the network.
+
+    An immutable record: attributes cannot be reassigned after
+    construction.
 
     Attributes
     ----------
@@ -44,18 +47,66 @@ class NodeView:
         ``n`` — used by the paper's algorithms only to size their running
         time (Theorem 4's discussion notes no other dependence).
     rng:
-        This node's private random stream.
+        This node's private random stream.  Pass it directly, or pass
+        ``seed=`` instead: the view then derives
+        ``derive_rng(seed, "node", node_id)`` on first access and keeps
+        it, so a population whose streams are never drawn from (a
+        numpy-mode columnar run) seeds none of them.  Either way it is
+        the same stream, draw for draw.
     """
+
+    __slots__ = ("node_id", "num_channels", "overlap", "num_nodes", "_rng", "_seed")
 
     node_id: NodeId
     num_channels: int
     overlap: int
     num_nodes: int
-    rng: random.Random
+
+    def __init__(
+        self,
+        node_id: NodeId,
+        num_channels: int,
+        overlap: int,
+        num_nodes: int,
+        rng: random.Random | None = None,
+        *,
+        seed: int | None = None,
+    ) -> None:
+        if (rng is None) == (seed is None):
+            raise TypeError("NodeView takes exactly one of rng= and seed=")
+        init = object.__setattr__
+        init(self, "node_id", node_id)
+        init(self, "num_channels", num_channels)
+        init(self, "overlap", overlap)
+        init(self, "num_nodes", num_nodes)
+        init(self, "_rng", rng)
+        init(self, "_seed", seed)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"NodeView(node_id={self.node_id!r}, num_channels={self.num_channels!r}, "
+            f"overlap={self.overlap!r}, num_nodes={self.num_nodes!r})"
+        )
+
+    @property
+    def rng(self) -> random.Random:
+        """This node's private random stream (derived on first access)."""
+        rng = self._rng
+        if rng is None:
+            rng = streams.derive_rng(self._seed, "node", self.node_id)
+            object.__setattr__(self, "_rng", rng)
+        return rng
 
     def random_label(self) -> int:
         """A local channel label chosen uniformly at random."""
-        return self.rng.randrange(self.num_channels)
+        # A stream is always truthy: once derived, one slot read.
+        return (self._rng or self.rng).randrange(self.num_channels)
 
 
 class Protocol(abc.ABC):

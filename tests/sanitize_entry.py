@@ -77,7 +77,7 @@ class HiddenCast(CogCast):
             "informed_label": self.informed_label,
             "current_label": self._current_label,
             "keep_log": self.keep_log,
-            "rng": self.view.rng,
+            "draw": self.view.random_label,
         }
 
     def vector_import(self, state: dict[str, Any]) -> None:

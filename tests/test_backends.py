@@ -32,7 +32,7 @@ from repro.assignment import dynamic_shared_core_schedule, shared_core
 from repro.core import CogCast, run_local_broadcast
 from repro.obs.metrics import MetricsProbe, MetricsRegistry
 from repro.obs.watchdog import InformedSetWatchdog, SlotBudgetWatchdog
-from repro.sim import EventTrace, Network
+from repro.sim import ChannelAssignment, EventTrace, Network
 from repro.sim.adversary import RandomJammer
 from repro.sim.backends import (
     AllInformed,
@@ -318,7 +318,7 @@ class TestFallbackTransparency:
 
             def vector_export(self):
                 export = super().vector_export()
-                del export["rng"], export["parent"]
+                del export["draw"], export["parent"]
                 return export
 
         engine = self.run_vector(
@@ -326,9 +326,32 @@ class TestFallbackTransparency:
         )
         assert not engine.vector_engaged
         assert engine.vector_fallback_reason == (
-            "vector export missing contract fields: parent, rng"
+            "vector export missing contract fields: draw, parent"
         )
         assert engine.fast_path_engaged
+
+    def test_partial_export_on_last_node_falls_back(self):
+        """The contract is checked on every node's export, not the first."""
+        network = make_network(0)
+        last = network.num_nodes - 1
+
+        class PartialOnLast(CogCast):
+            vector_kind = "epidemic-broadcast"
+
+            def vector_export(self):
+                export = super().vector_export()
+                if self.view.node_id == last:
+                    del export["draw"], export["parent"]
+                return export
+
+        engine = self.run_vector(
+            network=network,
+            factory=lambda view: PartialOnLast(view, is_source=(view.node_id == 0)),
+        )
+        assert not engine.vector_engaged
+        assert engine.vector_fallback_reason == (
+            "vector export missing contract fields: draw, parent"
+        )
 
     def test_fallback_matches_exact_bit_for_bit(self):
         """A traced vector-backend run IS a traced exact run."""
@@ -352,6 +375,82 @@ class TestFallbackTransparency:
         assert not vec_engine.vector_engaged
         assert vec_result == exact_result
         assert list(trace_vector.events) == list(trace_exact.events)
+
+
+def _reference_table(labels, n, c):
+    """The label table remapped by ``np.unique``'s sort."""
+    import numpy as np
+
+    uniq, inverse = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    return inverse.reshape(n, c), len(uniq)
+
+
+def _sparse(assignment: ChannelAssignment, scale: int, offset: int) -> ChannelAssignment:
+    """*assignment* with channel ``x`` renamed ``offset + scale * x``."""
+    return ChannelAssignment(
+        tuple(
+            tuple(offset + scale * channel for channel in node)
+            for node in assignment.channels
+        ),
+        overlap=assignment.overlap,
+    )
+
+
+@needs_numpy
+class TestColumnarInputs:
+    """The vector run's inputs: lazy node streams and the dense table."""
+
+    def test_numpy_run_derives_no_node_stream(self, monkeypatch):
+        import repro.sim.rng as rng_module
+
+        real = rng_module.derive_rng
+        scopes = []
+
+        def counting(seed, *scope):
+            scopes.append(scope)
+            return real(seed, *scope)
+
+        monkeypatch.setattr(rng_module, "derive_rng", counting)
+        n, seed = 2000, 3
+        engine = build_engine(
+            make_network(seed, n=n, c=8, k=2), cogcast_factory, seed=seed, backend="vector"
+        )
+        engine.run(10_000, stop_when=AllInformed(engine.protocols))
+        assert engine.vector_engaged
+        assert all(protocol.informed for protocol in engine.protocols)
+        assert [scope for scope in scopes if scope[0] == "node"] == []
+        # Read after the run, each stream is still the one make_views names.
+        for node, protocol in enumerate(engine.protocols):
+            assert protocol.view.rng.random() == real(seed, "node", node).random()
+        assert len([scope for scope in scopes if scope[0] == "node"]) == n
+
+    # The last case spans ~10^11 channel ids: too wide for the presence
+    # mask, so it takes the np.unique path.
+    @pytest.mark.parametrize(
+        "scale, offset", [(1, 0), (37, 1000), (3, -50), (10**9, 7)]
+    )
+    def test_dense_table_matches_unique_on_static_schedules(self, scale, offset):
+        from repro.sim.backends.vector import dense_table
+
+        n, c = 40, 6
+        rng = random.Random(scale)
+        plan = _sparse(shared_core(n, c, 2, rng).shuffled_labels(rng), scale, offset)
+        table, count = dense_table(plan.channels, n, c)
+        expected, expected_count = _reference_table(plan.channels, n, c)
+        assert count == expected_count
+        assert table.tolist() == expected.tolist()
+
+    def test_dense_table_matches_unique_on_dynamic_schedules(self):
+        from repro.sim.backends.vector import dense_table
+
+        n, c = 30, 5
+        schedule = dynamic_shared_core_schedule(n, c, 2, seed=4)
+        for slot in range(6):
+            labels = _sparse(schedule.at(slot), 11, 3).channels
+            table, count = dense_table(labels, n, c)
+            expected, expected_count = _reference_table(labels, n, c)
+            assert count == expected_count
+            assert table.tolist() == expected.tolist()
 
 
 class TestBackendSelection:

@@ -204,6 +204,30 @@ class TestHelpers:
         views = make_views(two_node_network(), seed=0)
         assert views[0].rng.random() != views[1].rng.random()
 
+    def test_make_views_streams_are_lazy_and_unchanged(self):
+        """A view's stream is ``derive_rng(seed, "node", id)``, derived
+        on first access and kept."""
+        from repro.sim.rng import derive_rng
+
+        views = make_views(two_node_network(), seed=9)
+        assert views[1].rng is views[1].rng
+        draws = [views[1].random_label() for _ in range(20)]
+        reference = derive_rng(9, "node", 1)
+        assert draws == [reference.randrange(2) for _ in range(20)]
+        assert views[1].rng.getstate() == reference.getstate()
+
+    def test_node_view_is_immutable_and_needs_one_stream_source(self):
+        import dataclasses
+        import random
+
+        view = NodeView(0, 2, 1, 4, random.Random(0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.num_channels = 3
+        with pytest.raises(TypeError):
+            NodeView(0, 2, 1, 4)
+        with pytest.raises(TypeError):
+            NodeView(0, 2, 1, 4, random.Random(0), seed=0)
+
     def test_build_engine_factory_sees_views(self):
         seen: list[NodeView] = []
 

@@ -60,6 +60,22 @@ class TestSharedCore:
         a.validate()
         assert len(a.universe) == 3
 
+    @pytest.mark.parametrize("n, c, k", [(7, 5, 5), (7, 5, 2), (3, 4, 1)])
+    def test_matches_per_node_slice_construction(self, n, c, k):
+        """Same tuples and same RNG consumption as slicing the shuffled
+        universe node by node."""
+        rng = random.Random(11)
+        universe = list(range(k + n * (c - k)))
+        rng.shuffle(universe)
+        shared, pool = universe[:k], universe[k:]
+        expected = tuple(
+            tuple(shared + pool[node * (c - k) : (node + 1) * (c - k)])
+            for node in range(n)
+        )
+        generator_rng = random.Random(11)
+        assert shared_core(n, c, k, generator_rng).channels == expected
+        assert generator_rng.getstate() == rng.getstate()
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             shared_core(4, 3, 0, random.Random(0))

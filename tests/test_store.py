@@ -12,11 +12,16 @@ bit-identical repeated output, the live ``follow`` tail, the anomaly
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.assignment import shared_core
 from repro.core.runners import run_local_broadcast
 from repro.experiments.campaign import Campaign
@@ -95,6 +100,40 @@ class TestProvenance:
     def test_code_version_falls_back_outside_a_repo(self, tmp_path):
         """Pointing detection at a non-repo yields the pkg- fallback."""
         assert detect_code_version(tmp_path) == _pkg_version()
+
+    def test_package_runs_outside_a_git_checkout(self, tmp_path):
+        """A plain copy of the package imports, runs, and stamps the
+        ``pkg-`` fallback (provenance reads ``repro.__version__`` while
+        the package root is still importing its subpackages)."""
+        shutil.copytree(
+            os.path.dirname(repro.__file__),
+            tmp_path / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        env["GIT_CEILING_DIRECTORIES"] = str(tmp_path.parent)
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, *args],
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+
+        listed = run("-m", "repro", "list")
+        assert listed.returncode == 0, listed.stderr
+        assert "E01" in listed.stdout
+        version = run(
+            "-c",
+            "import repro.obs.provenance as p; print(p.__file__); print(p.CODE_VERSION)",
+        )
+        assert version.returncode == 0, version.stderr
+        location, code_version = version.stdout.split()
+        assert location.startswith(str(tmp_path))
+        assert code_version == _pkg_version()
 
     def test_import_time_code_version_shape(self):
         """Either a 12-hex git SHA (maybe -dirty) or the pkg fallback."""
@@ -190,6 +229,42 @@ class TestRunStore:
         assert again.ingested == 0
         assert again.deduplicated == 3
         assert len(store.entries()) == 3
+
+    def test_reingest_recovers_runs_after_a_crash_before_the_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """Objects written by an ingest that died before its manifest
+        write were never accepted: the next ingest stores them."""
+        shard = tmp_path / "shard.jsonl"
+        _write_runs(shard)
+        store = RunStore(tmp_path / "store")
+
+        def crash(manifest):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RunStore, "_write_manifest", staticmethod(crash))
+            with pytest.raises(OSError, match="disk full"):
+                store.ingest([shard])
+        assert len(list((store.root / "objects").rglob("*.json"))) == 3
+        assert store.entries() == []
+        report = store.ingest([shard])
+        assert report.ingested == 3
+        assert report.deduplicated == 0
+        assert len(store.entries()) == 3
+
+    def test_truncated_object_is_replaced_on_ingest(self, tmp_path):
+        shard = tmp_path / "shard.jsonl"
+        records = _write_runs(shard, seeds=(4,))
+        store = RunStore(tmp_path / "store")
+        key = run_key(records[0])
+        path = store.object_path(key)
+        path.parent.mkdir(parents=True)
+        path.write_text('{"schema": 1, "rec')
+        report = store.ingest([shard])
+        assert report.ingested == 1
+        assert store.load(run_id_of(key))["record"] == records[0]
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
 
     def test_object_layout_is_keyed_by_provenance_triple(self, tmp_path):
         shard = tmp_path / "shard.jsonl"
