@@ -27,6 +27,7 @@ import random
 from typing import Callable
 
 from repro.sim.channels import ChannelAssignment, DynamicSchedule
+from repro.sim.rng import shuffled_range
 from repro.types import Channel
 
 
@@ -57,11 +58,13 @@ def shared_core(n: int, c: int, k: int, rng: random.Random) -> ChannelAssignment
     uniformly at random.  This is exactly the network construction in
     the proof of Theorem 16 (the global-label lower bound), and also the
     "everyone shares the same k channels" hard case from Claim 2.
+
+    The universe is shuffled by :func:`repro.sim.rng.shuffled_range`,
+    which at scale decodes ``rng.shuffle``'s draws with numpy: the
+    output and ``rng``'s state afterwards are those of ``rng.shuffle``.
     """
     _check_params(n, c, k)
-    universe_size = k + n * (c - k)
-    universe = list(range(universe_size))
-    rng.shuffle(universe)
+    universe = shuffled_range(rng, k + n * (c - k))
     shared = tuple(universe[:k])
     if c == k:
         return ChannelAssignment((shared,) * n, overlap=k)

@@ -7,6 +7,7 @@ campaign-service result cache builds on.  Layout on disk::
 
     <store>/
       manifest.json                    # compact queryable index
+      manifest.lock                    # ingest lock (flock), empty
       objects/<config_hash>/<seed>/<code_version>.json
 
 Each object file holds one *stored run*: the primary telemetry record
@@ -26,8 +27,11 @@ The manifest is a single JSON document mapping ``run_id``
 (``<config_hash>/<seed>/<code_version>``) to a compact entry of the
 queryable fields (protocol, network shape, slots, outcome, backend,
 execution path, anomaly count, the provenance config).  It is
-rewritten atomically (temp file + ``os.replace``) at the end of each
-ingest and read whole by :mod:`repro.obs.query`, so queries never
+rewritten atomically (a per-process temp file + ``os.replace``) at the
+end of each ingest, and an exclusive ``flock`` on
+``<store>/manifest.lock`` held from the manifest read to that replace
+serializes concurrent ingests, so none loses another's entries.  It is
+read whole by :mod:`repro.obs.query`, so queries never
 touch the object files unless they aggregate embedded metric
 snapshots.
 
@@ -40,9 +44,15 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
 
 from repro.obs.provenance import run_key
 from repro.obs.telemetry import TelemetryError, read_telemetry
@@ -243,32 +253,47 @@ class RunStore:
         are left untouched.
         """
         report = IngestReport()
-        manifest = self.manifest()
-        entries: dict[str, Any] = manifest["entries"]
-        for path in paths:
-            report.files += 1
-            pending: _PendingRun | None = None
-            for record in read_telemetry(path, strict=strict):
-                kind = record.get("kind")
-                if kind in PRIMARY_KINDS:
-                    if pending is not None:
-                        self._flush(pending, entries, report)
-                    key = run_key(record)
-                    if key is None:
-                        report.unstamped += 1
-                        pending = None
-                        continue
-                    pending = _PendingRun(key=key, record=record)
-                elif kind == "anomaly":
-                    if pending is None:
-                        report.orphan_anomalies += 1
-                    else:
-                        pending.anomalies.append(record)
-                        report.anomalies_attached += 1
-            if pending is not None:
-                self._flush(pending, entries, report)
-        self._write_manifest(manifest)
+        with self._manifest_lock():
+            manifest = self.manifest()
+            entries: dict[str, Any] = manifest["entries"]
+            for path in paths:
+                report.files += 1
+                pending: _PendingRun | None = None
+                for record in read_telemetry(path, strict=strict):
+                    kind = record.get("kind")
+                    if kind in PRIMARY_KINDS:
+                        if pending is not None:
+                            self._flush(pending, entries, report)
+                        key = run_key(record)
+                        if key is None:
+                            report.unstamped += 1
+                            pending = None
+                            continue
+                        pending = _PendingRun(key=key, record=record)
+                    elif kind == "anomaly":
+                        if pending is None:
+                            report.orphan_anomalies += 1
+                        else:
+                            pending.anomalies.append(record)
+                            report.anomalies_attached += 1
+                if pending is not None:
+                    self._flush(pending, entries, report)
+            self._write_manifest(manifest)
         return report
+
+    @contextmanager
+    def _manifest_lock(self) -> Iterator[None]:
+        """Hold an exclusive lock on ``<root>/manifest.lock``.
+
+        Serializes concurrent ingests from manifest read to replace, so
+        none loses another's entries.  Where :mod:`fcntl` is missing
+        (Windows) ingests are not serialized.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.root / "manifest.lock", "a") as handle:
+            if fcntl is not None:
+                fcntl.flock(handle, fcntl.LOCK_EX)
+            yield
 
     def _flush(
         self,
@@ -306,7 +331,6 @@ class RunStore:
 
     def _write_manifest(self, manifest: dict[str, Any]) -> None:
         """Atomically replace the manifest document (temp + rename)."""
-        self.root.mkdir(parents=True, exist_ok=True)
         manifest = {
             "schema": STORE_SCHEMA_VERSION,
             "entries": {
@@ -314,7 +338,7 @@ class RunStore:
                 for run_id in sorted(manifest["entries"])
             },
         }
-        scratch = self.manifest_path.with_suffix(".json.tmp")
+        scratch = self.manifest_path.with_name(f"manifest.json.{os.getpid()}.tmp")
         with open(scratch, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, sort_keys=True, indent=1)
             handle.write("\n")

@@ -365,6 +365,12 @@ class VectorEngine:
             def condition() -> bool:
                 return bool(informed.all())
 
+        # Per-channel state, allocated once per run (again only if a
+        # dynamic schedule's slot has more channels) and written only
+        # at this slot's broadcaster channels: ``occupied`` is reset
+        # after each slot, ``channel_min`` before its scatter-min, and
+        # ``winner_node`` is read only where this slot wrote it.
+        capacity = 0
         labels = None
         executed = 0
         completed = condition()
@@ -372,6 +378,11 @@ class VectorEngine:
             slot = self.slot
             if not static:
                 table, num_channels = dense_table(schedule.labels_at(slot), n, c)
+            if num_channels > capacity:
+                capacity = num_channels
+                occupied = np.zeros(capacity, dtype=bool)
+                winner_node = np.empty(capacity, dtype=np.int64)
+                channel_min = None if replay else np.empty(capacity)
             if replay:
                 labels = np.fromiter(
                     (draw() for draw in label_draws), dtype=np.int64, count=n
@@ -381,8 +392,6 @@ class VectorEngine:
             channels = table[rows, labels]
             broadcaster_nodes = rows[informed]
             broadcaster_channels = channels[informed]
-            counts = np.bincount(broadcaster_channels, minlength=num_channels)
-            winner_node = np.full(num_channels, -1, dtype=np.int64)
             if broadcaster_nodes.size:
                 if replay:
                     # Contended channels resolve in ascending channel
@@ -398,27 +407,31 @@ class VectorEngine:
                     )
                     ends = np.r_[starts[1:], sorted_channels.size]
                     for start, end in zip(starts.tolist(), ends.tolist()):
-                        size = end - start
-                        offset = 0 if size == 1 else rng_choice(range(size))
+                        group = end - start
+                        offset = 0 if group == 1 else rng_choice(range(group))
                         winner_node[sorted_channels[start]] = sorted_nodes[
                             start + offset
                         ]
                 else:
                     # Uniform winner per channel: iid keys, scatter-min.
                     keys = np_rng.random(broadcaster_nodes.size)
-                    channel_min = np.full(num_channels, np.inf)
+                    channel_min[broadcaster_channels] = np.inf
                     np.minimum.at(channel_min, broadcaster_channels, keys)
                     is_winner = keys <= channel_min[broadcaster_channels]
                     winner_node[broadcaster_channels[is_winner]] = (
                         broadcaster_nodes[is_winner]
                     )
-            has_winner = counts > 0
-            heard = has_winner[channels]
+            occupied[broadcaster_channels] = True
+            heard = occupied[channels]
+            occupied[broadcaster_channels] = False
             listeners = ~informed
             newly = heard & listeners
             new_nodes = np.flatnonzero(newly)
             if track:
-                contention_chunks.append(counts[has_winner])
+                # Broadcasters per occupied channel, ascending channel.
+                contention_chunks.append(
+                    np.unique(broadcaster_channels, return_counts=True)[1]
+                )
                 deliveries += int(new_nodes.size)
                 wasted_listens += int(listeners.sum()) - int(new_nodes.size)
             if new_nodes.size:

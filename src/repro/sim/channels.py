@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
+from repro.sim.rng import shuffled_rows
 from repro.types import Channel, InvalidAssignmentError, LocalLabel, NodeId
 
 
@@ -143,14 +144,13 @@ class ChannelAssignment:
         """Return a copy with every node's local label order re-randomized.
 
         This is the canonical way to produce the paper's *local channel
-        label* model from any generator output.
+        label* model from any generator output.  The rows are shuffled by
+        :func:`repro.sim.rng.shuffled_rows`, which at scale decodes the
+        per-node ``rng.shuffle`` draws with numpy: the tuples (holding the
+        same channel objects) and ``rng``'s state afterwards are those of
+        shuffling each node's list in turn.
         """
-        shuffled = []
-        for chans in self.channels:
-            order = list(chans)
-            rng.shuffle(order)
-            shuffled.append(tuple(order))
-        return ChannelAssignment(tuple(shuffled), self.overlap)
+        return ChannelAssignment(shuffled_rows(rng, self.channels), self.overlap)
 
     def with_global_labels(self) -> "ChannelAssignment":
         """Return a copy with every node's channels sorted ascending.

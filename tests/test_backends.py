@@ -28,7 +28,11 @@ import pytest
 
 from repro.analysis.stats import mean_confidence_interval
 from repro.analysis.theory import cogcast_slot_bound
-from repro.assignment import dynamic_shared_core_schedule, shared_core
+from repro.assignment import (
+    dynamic_shared_core_schedule,
+    random_with_core,
+    shared_core,
+)
 from repro.core import CogCast, run_local_broadcast
 from repro.obs.metrics import MetricsProbe, MetricsRegistry
 from repro.obs.watchdog import InformedSetWatchdog, SlotBudgetWatchdog
@@ -46,8 +50,10 @@ from repro.sim.backends import (
     numpy_available,
     resolve_backend,
 )
+from repro.sim.channels import DynamicSchedule
 from repro.sim.engine import RunResult, build_engine
 from repro.sim.protocol import Protocol
+from repro.sim.rng import derive_rng
 
 SEEDS = [0, 1, 7, 11, 42]
 
@@ -68,8 +74,9 @@ def cogcast_factory(view):
     return CogCast(view, is_source=(view.node_id == 0))
 
 
-def drive(seed: int, *, backend, network=None, probe=None):
-    """One seeded COGCAST run to completion; returns everything observable."""
+def drive(seed: int, *, backend, network=None, probe=None, slots=None):
+    """One seeded COGCAST run to completion (or for exactly *slots*
+    slots, when given); returns everything observable."""
     engine = build_engine(
         network if network is not None else make_network(seed),
         cogcast_factory,
@@ -78,7 +85,10 @@ def drive(seed: int, *, backend, network=None, probe=None):
         backend=backend,
     )
     protocols = engine.protocols
-    result = engine.run(10_000, stop_when=AllInformed(protocols))
+    if slots is None:
+        result = engine.run(10_000, stop_when=AllInformed(protocols))
+    else:
+        result = engine.run(slots)
     states = [
         (p.informed, p.parent, p.informed_slot, p.informed_label, p.message)
         for p in protocols
@@ -120,6 +130,65 @@ class TestTierAReplayBitIdentity:
             drive(seed, backend=backend, probe=MetricsProbe(registry))
             snapshots.append(registry.snapshot())
         assert snapshots[0] == snapshots[1]
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_growing_channel_count_identical(self, seed):
+        """Slots whose channel count grows (the kernel's per-channel
+        arrays are reallocated mid-run) keep states and counters."""
+
+        def generate(slot):
+            rng = derive_rng(seed, "growing", slot)
+            if slot % 3 == 2:
+                return shared_core(24, 6, 2, rng).shuffled_labels(rng)
+            return random_with_core(24, 6, 2, rng, universe_size=8 + slot)
+
+        runs = []
+        for backend in ("exact", "vector-replay"):
+            registry = MetricsRegistry()
+            run = drive(
+                seed,
+                backend=backend,
+                network=Network(DynamicSchedule(generate)),
+                probe=MetricsProbe(registry),
+            )
+            runs.append((run, registry.snapshot()))
+        (exact, exact_metrics), (vector, vector_metrics) = runs
+        assert vector[0].vector_engaged
+        assert exact[1:] == vector[1:]
+        assert exact_metrics == vector_metrics
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_channels_grow_past_capacity_after_large_group(self, seed):
+        """A slot whose channel count grows, but stays below the previous
+        slot's largest contention group, still widens the per-channel
+        arrays: the group size must not stand in for their length."""
+        n = 200
+
+        def generate(slot):
+            if slot < 2:
+                # Three channels for everyone: the informed nodes pile
+                # up on them in contention groups of dozens.
+                layout = [(0, 1) if node % 2 else (0, 2) for node in range(n)]
+            else:
+                width = 4 + slot  # more channels than ever, fewer than a group
+                layout = [(0, 1 + node % (width - 1)) for node in range(n)]
+            return ChannelAssignment(tuple(layout), overlap=1)
+
+        # A fixed budget past completion: every node then broadcasts,
+        # so each later slot follows groups of about n / width nodes.
+        exact, vector = (
+            drive(
+                seed,
+                backend=backend,
+                network=Network(DynamicSchedule(generate)),
+                slots=10,
+            )
+            for backend in ("exact", "vector-replay")
+        )
+        assert vector[0].vector_engaged
+        assert vector[1].slots == 10
+        assert exact[1:] == vector[1:]
+        assert exact[0].rng.getstate() == vector[0].rng.getstate()
 
 
 @needs_numpy

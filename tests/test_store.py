@@ -266,6 +266,47 @@ class TestRunStore:
         assert store.load(run_id_of(key))["record"] == records[0]
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 
+    def test_concurrent_ingests_keep_every_entry(self, tmp_path):
+        """Three processes ingesting disjoint shards at once end with
+        the union of their entries.  Each flush sleeps, so the ingests
+        are in flight together; without the manifest lock a later
+        manifest write drops an earlier ingest's entries."""
+        shards = []
+        for first in (0, 3, 6):
+            shards.append(tmp_path / f"shard-{first}.jsonl")
+            _write_runs(shards[-1], seeds=(first, first + 1, first + 2))
+        script = (
+            "import sys, time\n"
+            "from repro.obs.store import RunStore\n"
+            "flush = RunStore._flush\n"
+            "def slow(self, *args):\n"
+            "    time.sleep(0.1)\n"
+            "    return flush(self, *args)\n"
+            "RunStore._flush = slow\n"
+            "RunStore(sys.argv[1]).ingest([sys.argv[2]])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        store = tmp_path / "store"
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(store), str(shard)],
+                env=env,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for shard in shards
+        ]
+        for worker in workers:
+            _, stderr = worker.communicate(timeout=120)
+            assert worker.returncode == 0, stderr
+        assert len(RunStore(store).entries()) == 9
+        assert sorted(p.name for p in store.iterdir()) == [
+            "manifest.json",
+            "manifest.lock",
+            "objects",
+        ]
+
     def test_object_layout_is_keyed_by_provenance_triple(self, tmp_path):
         shard = tmp_path / "shard.jsonl"
         records = _write_runs(shard, seeds=(5,))
