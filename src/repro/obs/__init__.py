@@ -36,7 +36,11 @@ constant-memory alternative:
   manifests (seed, ``n``/``c``/``k``/``C``, protocol, slot count,
   outcome, counters, timings, span summaries) emitted by the runner
   harnesses, plus a ``python -m repro obs`` CLI that validates, tails,
-  and summarizes telemetry files and surfaces anomalies.
+  and summarizes telemetry files and surfaces anomalies.  The file
+  verbs share the run store's pieces: one line parser
+  (:func:`parse_lines`), one anomaly-to-run join
+  (:func:`join_anomalies`), and one group-by (``summary`` runs
+  :func:`run_query` over a :class:`TelemetryView` of the file).
 - **Metrics** (:class:`MetricsRegistry` with :class:`Counter`,
   :class:`Gauge`, :class:`Histogram`) — a process-safe, constant-memory
   instrument registry with label sets, snapshot/restore/merge (so
@@ -109,6 +113,8 @@ from repro.obs.store import (
     STORE_SCHEMA_VERSION,
     IngestReport,
     RunStore,
+    TelemetryView,
+    join_anomalies,
     manifest_entry,
 )
 from repro.obs.spans import InformEdge, Span, SpanProbe, SpanTree, payload_kind
@@ -119,9 +125,9 @@ from repro.obs.telemetry import (
     anomaly_record,
     campaign_record,
     experiment_record,
+    parse_lines,
     read_telemetry,
     run_record,
-    summarize_records,
     validate_record,
 )
 from repro.obs.watchdog import (
@@ -170,6 +176,7 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetryError",
     "TelemetrySink",
+    "TelemetryView",
     "WatchdogProbe",
     "anomaly_record",
     "attach",
@@ -182,9 +189,11 @@ __all__ = [
     "explain_records",
     "flush_anomalies",
     "follow_file",
+    "join_anomalies",
     "manifest_entry",
     "merge_snapshots",
     "parse_filters",
+    "parse_lines",
     "payload_kind",
     "provenance_block",
     "read_telemetry",
@@ -193,7 +202,6 @@ __all__ = [
     "run_query",
     "run_record",
     "span_summary",
-    "summarize_records",
     "validate_chrome_trace",
     "validate_provenance",
     "validate_record",

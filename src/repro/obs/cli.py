@@ -40,12 +40,29 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.obs.telemetry import (
-    read_telemetry,
-    summarize_records,
-    tail_records,
-    validate_record,
+from repro.obs.telemetry import parse_lines, read_telemetry
+
+#: ``summary``'s sections: heading, record kind, and the (group-by
+#: fields, stat) queries whose :func:`~repro.obs.query.run_query`
+#: tables it prints for that kind.
+SUMMARY_SECTIONS = (
+    ("runs", "run", ((("protocol",), "slots"), (("protocol", "outcome"), "slots"))),
+    (
+        "experiments",
+        "experiment",
+        ((("experiment",), "rows"), (("experiment",), "elapsed_s")),
+    ),
+    ("campaign points", "campaign", ((("campaign",), "trials"),)),
+    ("anomalies", "anomaly", ((("rule",), "slot"),)),
 )
+
+
+def _non_negative(text: str) -> int:
+    """An argparse type: a non-negative integer (usage error otherwise)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def add_subcommands(sub: Any) -> None:
@@ -67,7 +84,11 @@ def add_subcommands(sub: Any) -> None:
         )
         if name == "tail":
             command.add_argument(
-                "-n", "--limit", type=int, default=10, help="records to show"
+                "-n",
+                "--limit",
+                type=_non_negative,
+                default=10,
+                help="records to show",
             )
         if name in ("summary", "tail"):
             command.add_argument(
@@ -208,7 +229,7 @@ def add_subcommands(sub: Any) -> None:
     )
     explain.add_argument(
         "--index",
-        type=int,
+        type=_non_negative,
         default=None,
         metavar="N",
         help="explain only the N-th matching anomaly (0-based)",
@@ -238,18 +259,6 @@ def _expand(files: Sequence[str]) -> list[str]:
         matches = sorted(globmod.glob(pattern))
         expanded.extend(matches if matches else [pattern])
     return expanded
-
-
-def _read_all(files: Sequence[str]) -> list[dict[str, Any]] | None:
-    """Every record across *files* (globs expanded), or ``None`` on error."""
-    records: list[dict[str, Any]] = []
-    for path in _expand(files):
-        try:
-            records.extend(read_telemetry(path, strict=False))
-        except OSError as error:
-            print(f"{path}: {error.strerror or error}", file=sys.stderr)
-            return None
-    return records
 
 
 def _metrics_digest(records: Sequence[dict[str, Any]]) -> str:
@@ -286,18 +295,9 @@ def validate_files(files: Sequence[str]) -> int:
             print(f"{path}: {error.strerror or error}", file=sys.stderr)
             problems_found += 1
             continue
-        for number, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for number, _, problems in parse_lines(lines):
             total += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                print(f"{path}:{number}: not valid JSON ({error.msg})")
-                problems_found += 1
-                continue
-            for problem in validate_record(record):
+            for problem in problems:
                 print(f"{path}:{number}: {problem}")
                 problems_found += 1
     if problems_found:
@@ -307,15 +307,28 @@ def validate_files(files: Sequence[str]) -> int:
     return 0
 
 
-def _filter_kind(
-    records: list[dict[str, Any]], kind: str | None, files: Sequence[str]
+def _load_records(
+    files: Sequence[str], kind: str | None = None
 ) -> list[dict[str, Any]] | None:
-    """Keep records of *kind*; print the no-match line and return ``None``
-    when the filter leaves nothing (the satellite's one-liner instead of
-    an empty table)."""
+    """Every record across *files* (globs expanded), or ``None`` (exit 1).
+
+    Prints an unreadable file's error, the "no telemetry records" line
+    for empty input and, with *kind* set, the "no matching records"
+    line when no record is of that kind, instead of an empty report.
+    """
+    records: list[dict[str, Any]] = []
+    for path in _expand(files):
+        try:
+            records.extend(read_telemetry(path, strict=False))
+        except OSError as error:
+            print(f"{path}: {error.strerror or error}", file=sys.stderr)
+            return None
+    if not records:
+        print("no telemetry records in " + ", ".join(files))
+        return None
     if kind is None:
         return records
-    matching = [record for record in records if record.get("kind") == kind]
+    matching = [record for record in records if record["kind"] == kind]
     if not matching:
         print(f"no matching records of kind {kind!r} in " + ", ".join(files))
         return None
@@ -325,23 +338,34 @@ def _filter_kind(
 def summarize_files(
     files: Sequence[str], *, metrics: bool = False, kind: str | None = None
 ) -> int:
-    """Print a digest of all records across *files*; 0 iff any exist.
+    """Print grouped aggregates of all records across *files*; 0 iff any.
 
-    With ``metrics=True`` the digest is followed by the merged embedded
-    metric snapshots in Prometheus text format.  With *kind* set, only
-    records of that kind are digested — zero matches prints a one-line
-    "no matching records" message and exits 1.
+    The digest is :func:`~repro.obs.query.run_query` over a
+    :class:`~repro.obs.store.TelemetryView` of the records, one table
+    per :data:`SUMMARY_SECTIONS` query, rendered by
+    :func:`~repro.obs.query.render_rows`.  With ``metrics=True`` it is
+    followed by the merged embedded metric snapshots in Prometheus text
+    format.  With *kind* set, only records of that kind are digested.
     """
-    records = _read_all(files)
+    from textwrap import indent
+
+    from repro.obs.query import render_rows, run_query
+    from repro.obs.store import TelemetryView
+
+    records = _load_records(files, kind)
     if records is None:
         return 1
-    if not records:
-        print("no telemetry records in " + ", ".join(files))
-        return 1
-    records = _filter_kind(records, kind, files)
-    if records is None:
-        return 1
-    print(summarize_records(records))
+    view = TelemetryView(records)
+    lines = [f"{len(records)} records"]
+    for heading, section_kind, queries in SUMMARY_SECTIONS:
+        count = sum(1 for record in records if record["kind"] == section_kind)
+        if not count:
+            continue
+        lines.append(f"{heading}: {count}")
+        for group_by, stat in queries:
+            rows = run_query(view, kind=section_kind, group_by=group_by, stat=stat)
+            lines.append(indent(render_rows(rows, stat=stat), "  "))
+    print("\n".join(lines))
     if metrics:
         print(_metrics_digest(records))
     return 0
@@ -358,19 +382,12 @@ def tail_files(
 
     With ``metrics=True`` each tailed record that embeds a metrics
     snapshot is followed by that snapshot rendered as Prometheus text.
-    With *kind* set, only records of that kind are tailed — zero
-    matches prints a one-line "no matching records" message and exits 1.
+    With *kind* set, only records of that kind are tailed.
     """
-    records = _read_all(files)
+    records = _load_records(files, kind)
     if records is None:
         return 1
-    if not records:
-        print("no telemetry records in " + ", ".join(files))
-        return 1
-    records = _filter_kind(records, kind, files)
-    if records is None:
-        return 1
-    for record in tail_records(records, limit):
+    for record in records[max(0, len(records) - limit) :]:
         print(json.dumps(record, sort_keys=True))
         if metrics and record.get("metrics") is not None:
             from repro.obs.metrics import render_prometheus
@@ -407,29 +424,36 @@ def diff_files_cli(
 
 
 def anomalies_files(files: Sequence[str]) -> int:
-    """Print every ``kind="anomaly"`` record; exit 0 iff there are none.
+    """Print every ``kind="anomaly"`` record under its run; 0 iff none.
 
-    CI runs this against smoke telemetry: a watchdog anomaly (or an
-    empty/unreadable file) fails the build.
+    Anomalies are grouped under the primary record
+    :func:`~repro.obs.store.join_anomalies` pairs them with — the run a
+    store ingest attaches them to.  CI runs this against smoke
+    telemetry: a watchdog anomaly (or an empty/unreadable file) fails
+    the build.
     """
-    records = _read_all(files)
+    from repro.obs.query import record_line
+    from repro.obs.store import join_anomalies
+
+    records = _load_records(files)
     if records is None:
         return 1
-    if not records:
-        print("no telemetry records in " + ", ".join(files))
-        return 1
-    anomalies = [record for record in records if record.get("kind") == "anomaly"]
-    if not anomalies:
+    found = 0
+    for primary, anomalies in join_anomalies(records):
+        if not anomalies:
+            continue
+        print(
+            "(no preceding primary record)"
+            if primary is None
+            else record_line(primary)
+        )
+        for record in anomalies:
+            print("  " + record_line(record))
+        found += len(anomalies)
+    if not found:
         print(f"no anomalies in {len(records)} records")
         return 0
-    for record in anomalies:
-        protocol = record.get("protocol")
-        origin = f" protocol={protocol}" if protocol else ""
-        print(
-            f"[{record['rule']}] seed={record['seed']}{origin} "
-            f"slot={record['slot']}: {record['message']}"
-        )
-    print(f"{len(anomalies)} anomalies in {len(records)} records")
+    print(f"{found} anomalies in {len(records)} records")
     return 1
 
 
@@ -549,24 +573,6 @@ def query_store_cli(
     return 0
 
 
-def follow_cli(
-    path: str,
-    *,
-    poll_s: float = 0.2,
-    idle_exit_s: float | None = None,
-    max_records: int | None = None,
-) -> int:
-    """Live-tail *path*; exit 1 when anomalies or invalid lines appeared."""
-    from repro.obs.query import follow_file
-
-    return follow_file(
-        path,
-        poll_s=poll_s,
-        idle_exit_s=idle_exit_s,
-        max_records=max_records,
-    )
-
-
 def explain_file(
     path: str, *, rule: str | None = None, index: int | None = None
 ) -> int:
@@ -608,7 +614,9 @@ def dispatch(args: argparse.Namespace) -> int:
             as_json=args.json,
         )
     if command == "follow":
-        return follow_cli(
+        from repro.obs.query import follow_file
+
+        return follow_file(
             args.file,
             poll_s=args.poll,
             idle_exit_s=args.idle_exit,
@@ -635,23 +643,6 @@ def dispatch(args: argparse.Namespace) -> int:
             spans_path=args.spans,
         )
     raise ValueError(f"unknown obs command {command!r}")
-
-
-def run(obs_command: str, files: Sequence[str], *, limit: int = 10) -> int:
-    """Dispatch one telemetry-file subcommand by name (compat shim).
-
-    Kept for callers that predate :func:`dispatch`; covers only the
-    file-oriented subcommands.
-    """
-    if obs_command == "validate":
-        return validate_files(files)
-    if obs_command == "summary":
-        return summarize_files(files)
-    if obs_command == "tail":
-        return tail_files(files, limit)
-    if obs_command == "anomalies":
-        return anomalies_files(files)
-    raise ValueError(f"unknown obs command {obs_command!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -636,10 +636,14 @@ class MetricsProbe:
         live_listeners = sum(
             1 for node in event.listeners if node not in event.jammed_nodes
         )
+        # A jammed listener hears nothing whether or not a message won.
+        jammed_listeners = len(event.listeners) - live_listeners
         if event.winner is not None:
             self.deliveries.inc(live_listeners, protocol=protocol)
+            if jammed_listeners:
+                self.wasted_listens.inc(jammed_listeners, protocol=protocol)
         else:
-            self.wasted_listens.inc(live_listeners, protocol=protocol)
+            self.wasted_listens.inc(len(event.listeners), protocol=protocol)
 
     def on_vector_run(
         self,

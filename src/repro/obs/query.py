@@ -13,10 +13,10 @@ Three consumers of the telemetry the run store indexes:
   incremental validation, surfacing anomalies the moment their line is
   flushed.
 - :func:`explain_records` joins a watchdog anomaly back to the run
-  record it followed and prints the causal context: offending slot,
-  enclosing span path (from the span summary's ``extents``), phase
-  timings, and the execution path (backend / fast path / vector
-  fallback reason).
+  record it followed (the run store's join) and prints the causal
+  context: offending slot, enclosing span path (from the span
+  summary's ``extents``), phase timings, and the execution path
+  (backend / fast path / vector fallback reason).
 
 Filter fields resolve against the manifest entry first, then its
 ``point`` dict (campaign grid coordinates), then the provenance
@@ -34,7 +34,8 @@ from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.aggregators import FixedHistogram, StreamingStat
-from repro.obs.telemetry import validate_record
+from repro.obs.store import join_anomalies
+from repro.obs.telemetry import parse_lines
 
 #: Comparison operators, longest spelling first so ``>=`` wins over ``>``.
 _OPS = ("!=", ">=", "<=", "=", ">", "<")
@@ -61,9 +62,15 @@ class Filter:
         """Whether a manifest entry satisfies this filter.
 
         Entries missing the field never match (``!=`` included): a
-        filter is an assertion about a field the entry must have.
+        filter is an assertion about a field the entry must have.  The
+        exception is a ``null`` value: ``field=null`` matches an absent
+        or null field, ``field!=null`` a present one.
         """
         actual = resolve_field(entry, self.field)
+        if self.value is None:
+            if self.op == "=":
+                return actual is None
+            return self.op == "!=" and actual is not None
         if actual is None:
             return False
         expected = self.value
@@ -332,6 +339,7 @@ def follow_file(
     anomalies = 0
     invalid = 0
     seen = 0
+    lines_read = 0
     buffered = ""
     offset = 0
     last_progress = perf_counter()
@@ -345,35 +353,23 @@ def follow_file(
             chunk = ""
         if chunk:
             last_progress = perf_counter()
-            buffered += chunk
-            while "\n" in buffered:
-                line, buffered = buffered.split("\n", 1)
-                line = line.strip()
-                if not line:
-                    continue
+            *complete, buffered = (buffered + chunk).split("\n")
+            for number, record, problems in parse_lines(
+                complete, start=lines_read + 1
+            ):
                 seen += 1
-                try:
-                    record = json.loads(line)
-                    problems = validate_record(record)
-                except json.JSONDecodeError as error:
-                    emit(f"invalid line {seen}: not valid JSON ({error.msg})")
+                if problems:
+                    what = "line" if record is None else "record"
+                    emit(f"invalid {what} {number}: " + "; ".join(problems))
                     invalid += 1
-                    record, problems = None, []
-                if record is not None and problems:
-                    emit(f"invalid record {seen}: " + "; ".join(problems))
-                    invalid += 1
-                elif record is not None:
-                    if record.get("kind") == "anomaly":
-                        anomalies += 1
-                        emit(
-                            f"ANOMALY [{record.get('rule')}] "
-                            f"seed={record.get('seed')} "
-                            f"slot={record.get('slot')}: {record.get('message')}"
-                        )
-                    else:
-                        emit(_follow_line(record))
+                elif record["kind"] == "anomaly":
+                    anomalies += 1
+                    emit("ANOMALY " + record_line(record))
+                else:
+                    emit(record_line(record))
                 if max_records is not None and seen >= max_records:
                     return 1 if anomalies or invalid else 0
+            lines_read += len(complete)
         else:
             if (
                 idle_exit_s is not None
@@ -383,8 +379,11 @@ def follow_file(
             sleep_fn(poll_s)
 
 
-def _follow_line(record: Mapping[str, Any]) -> str:
-    """The one-line rendering of a followed (non-anomaly) record."""
+def record_line(record: Mapping[str, Any]) -> str:
+    """The one-line rendering of a record, bracketed by kind (or rule).
+
+    Shared by ``follow``, ``anomalies`` and ``explain``.
+    """
     kind = record.get("kind")
     if kind == "run":
         return (
@@ -403,7 +402,12 @@ def _follow_line(record: Mapping[str, Any]) -> str:
             f"point={json.dumps(record.get('point'), sort_keys=True)} "
             f"mean={record.get('mean')}"
         )
-    return json.dumps(dict(record), sort_keys=True)
+    protocol = record.get("protocol")
+    origin = f" protocol={protocol}" if protocol else ""
+    return (
+        f"[{record.get('rule')}] seed={record.get('seed')}{origin} "
+        f"slot={record.get('slot')}: {record.get('message')}"
+    )
 
 
 def span_path_of(spans: Mapping[str, Any] | None, slot: int) -> str:
@@ -444,40 +448,32 @@ def explain_records(
     """Causal context report for the anomalies in a telemetry stream.
 
     Joins each ``kind="anomaly"`` record (optionally filtered by *rule*
-    or selected by *index* among the matches) to the most recent
-    preceding primary record with the same seed — the runner emission
-    order guarantees that is the run it was observed in — and renders
+    or selected by *index* among the matches) to its run with
+    :func:`repro.obs.store.join_anomalies` — the primary record just
+    before it, the one the run store attaches it to — and renders
     slot context, enclosing span path, phase timings, tree stats, and
     the execution path.  Returns ``(report text, exit code)``: 0 when
     at least one anomaly was explained, 1 when none matched.
     """
-    anomalies: list[tuple[int, Mapping[str, Any]]] = [
-        (position, record)
-        for position, record in enumerate(records)
-        if record.get("kind") == "anomaly"
-        and (rule is None or record.get("rule") == rule)
+    joined = [
+        (primary, anomaly)
+        for primary, attached in join_anomalies(records)
+        for anomaly in attached
+        if rule is None or anomaly.get("rule") == rule
     ]
     if index is not None:
-        anomalies = anomalies[index : index + 1]
-    if not anomalies:
+        joined = joined[index : index + 1]
+    if not joined:
         qualifier = f" with rule {rule!r}" if rule else ""
         return (f"no anomalies{qualifier} to explain", 1)
-    sections = []
-    for position, anomaly in anomalies:
-        sections.append(_explain_one(records, position, anomaly))
-    return ("\n\n".join(sections), 0)
+    return ("\n\n".join(_explain_one(run, anomaly) for run, anomaly in joined), 0)
 
 
 def _explain_one(
-    records: Sequence[Mapping[str, Any]],
-    position: int,
-    anomaly: Mapping[str, Any],
+    run: Mapping[str, Any] | None, anomaly: Mapping[str, Any]
 ) -> str:
     """Render the report section for one anomaly."""
-    lines = [
-        f"anomaly [{anomaly.get('rule')}] seed={anomaly.get('seed')} "
-        f"slot={anomaly.get('slot')}: {anomaly.get('message')}"
-    ]
+    lines = ["anomaly " + record_line(anomaly)]
     detail = anomaly.get("detail")
     if isinstance(detail, Mapping) and detail:
         rendered = ", ".join(
@@ -485,11 +481,10 @@ def _explain_one(
             for key in sorted(detail)
         )
         lines.append(f"  detail: {rendered}")
-    run = _join_run(records, position, anomaly)
     if run is None:
-        lines.append("  run: (no preceding primary record with this seed)")
+        lines.append("  run: (no preceding primary record)")
         return "\n".join(lines)
-    context = _follow_line(run)
+    context = record_line(run)
     if context.startswith("["):
         context = context.split("] ", 1)[-1]
     lines.append(f"  {run.get('kind')}: {context}")
@@ -543,24 +538,6 @@ def _explain_one(
             )
             lines.append(f"  metrics: {totals}")
     return "\n".join(lines)
-
-
-def _join_run(
-    records: Sequence[Mapping[str, Any]],
-    position: int,
-    anomaly: Mapping[str, Any],
-) -> Mapping[str, Any] | None:
-    """The primary record an anomaly at *position* belongs to."""
-    from repro.obs.store import PRIMARY_KINDS
-
-    seed = anomaly.get("seed")
-    for candidate in reversed(records[:position]):
-        if candidate.get("kind") in PRIMARY_KINDS and candidate.get("seed") == seed:
-            return candidate
-    for candidate in reversed(records[:position]):
-        if candidate.get("kind") in PRIMARY_KINDS:
-            return candidate
-    return None
 
 
 def query_rows_json(rows: Iterable[Mapping[str, Any]]) -> str:

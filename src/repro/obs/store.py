@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -96,13 +96,31 @@ class IngestReport:
         return "; ".join(parts)
 
 
-@dataclass
-class _PendingRun:
-    """A primary record accumulating its trailing anomalies during ingest."""
+def join_anomalies(
+    records: Iterable[Mapping[str, Any]],
+) -> Iterator[tuple[Mapping[str, Any] | None, list[Mapping[str, Any]]]]:
+    """Pair each primary record with the anomaly records that follow it.
 
-    key: tuple[str, int, str]
-    record: dict[str, Any]
-    anomalies: list[dict[str, Any]] = field(default_factory=list)
+    The one anomaly-to-run join, shared by :meth:`RunStore.ingest`,
+    :class:`TelemetryView`, ``repro obs anomalies`` and ``repro obs
+    explain``: an anomaly belongs to the primary record just before it
+    in the stream.  Runners emit the run record first and flush its
+    watchdog anomalies right after, so stream order is the join key.
+    Yields ``(primary, anomalies)`` in stream order; anomalies that
+    precede every primary record come first, as ``(None, orphans)``.
+    """
+    primary: Mapping[str, Any] | None = None
+    anomalies: list[Mapping[str, Any]] = []
+    for record in records:
+        kind = record.get("kind")
+        if kind in PRIMARY_KINDS:
+            if primary is not None or anomalies:
+                yield primary, anomalies
+            primary, anomalies = record, []
+        elif kind == "anomaly":
+            anomalies.append(record)
+    if primary is not None or anomalies:
+        yield primary, anomalies
 
 
 def _safe_component(text: str) -> str:
@@ -170,6 +188,48 @@ def manifest_entry(
         if name in record:
             entry[name] = record[name]
     return entry
+
+
+class TelemetryView:
+    """The records of telemetry files as an in-memory, unindexed store.
+
+    :func:`repro.obs.query.run_query` needs only ``entries()`` and
+    ``load()``, so this view lets ``repro obs summary`` group and
+    aggregate a file with the store's query engine without ingesting
+    it.  Every record becomes one entry, in stream order: no dedup,
+    and records without provenance stay in.  An entry is the record's
+    :func:`manifest_entry` (a primary record's anomaly count comes from
+    :func:`join_anomalies`) over the record's other top-level scalars
+    (``elapsed_s``, ``rule``, ``slot``), which the compact manifest
+    leaves out.  ``run_id`` is the record's position in the stream.
+    """
+
+    def __init__(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Hold *records* (already read and validated), joined."""
+        self._stored: list[dict[str, Any]] = []
+        for primary, anomalies in join_anomalies(records):
+            if primary is not None:
+                self._stored.append({"record": primary, "anomalies": anomalies})
+            self._stored.extend({"record": a, "anomalies": []} for a in anomalies)
+
+    def entries(self) -> list[dict[str, Any]]:
+        """One entry per record, in stream order."""
+        entries = []
+        for position, stored in enumerate(self._stored):
+            record = stored["record"]
+            entry = {
+                name: value
+                for name, value in record.items()
+                if not isinstance(value, (dict, list))
+            }
+            entry.update(manifest_entry(record, stored["anomalies"]))
+            entry["run_id"] = str(position)
+            entries.append(entry)
+        return entries
+
+    def load(self, run_id: str) -> dict[str, Any]:
+        """The record at *run_id* with its joined anomalies."""
+        return self._stored[int(run_id)]
 
 
 class RunStore:
@@ -245,12 +305,10 @@ class RunStore:
 
         Shards are read with :func:`repro.obs.telemetry.read_telemetry`
         (``strict=True`` raises on a malformed line; the default skips
-        it).  Anomaly records attach to the most recent preceding
-        primary record in their shard — the emission-order guarantee of
-        the runners (run manifest first, ``flush_anomalies`` second)
-        makes file order the join key.  New keys are written as object
-        files; keys already in the manifest count as deduplications and
-        are left untouched.
+        it) and paired by :func:`join_anomalies`, so each anomaly is
+        stored with the primary record just before it in its shard.
+        New keys are written as object files; keys already in the
+        manifest count as deduplications and are left untouched.
         """
         report = IngestReport()
         with self._manifest_lock():
@@ -258,26 +316,17 @@ class RunStore:
             entries: dict[str, Any] = manifest["entries"]
             for path in paths:
                 report.files += 1
-                pending: _PendingRun | None = None
-                for record in read_telemetry(path, strict=strict):
-                    kind = record.get("kind")
-                    if kind in PRIMARY_KINDS:
-                        if pending is not None:
-                            self._flush(pending, entries, report)
-                        key = run_key(record)
-                        if key is None:
+                records = read_telemetry(path, strict=strict)
+                for record, anomalies in join_anomalies(records):
+                    key = None if record is None else run_key(record)
+                    if key is None:
+                        # Unaddressable: no run before these anomalies,
+                        # or one without provenance.
+                        if record is not None:
                             report.unstamped += 1
-                            pending = None
-                            continue
-                        pending = _PendingRun(key=key, record=record)
-                    elif kind == "anomaly":
-                        if pending is None:
-                            report.orphan_anomalies += 1
-                        else:
-                            pending.anomalies.append(record)
-                            report.anomalies_attached += 1
-                if pending is not None:
-                    self._flush(pending, entries, report)
+                        report.orphan_anomalies += len(anomalies)
+                        continue
+                    self._flush(key, record, anomalies, entries, report)
             self._write_manifest(manifest)
         return report
 
@@ -297,11 +346,13 @@ class RunStore:
 
     def _flush(
         self,
-        pending: _PendingRun,
+        key: tuple[str, int, str],
+        record: Mapping[str, Any],
+        anomalies: list[Mapping[str, Any]],
         entries: dict[str, Any],
         report: IngestReport,
     ) -> None:
-        """Write one pending run's object file and manifest entry.
+        """Write one joined run's object file and manifest entry.
 
         Deduplication keys on manifest membership, not on the object
         file: an object left behind by an ingest that died before its
@@ -309,25 +360,25 @@ class RunStore:
         write goes through a temp file and ``os.replace``, so a reader
         sees the old object or the new one, never a truncated one.
         """
-        run_id = run_id_of(pending.key)
+        run_id = run_id_of(key)
         if run_id in entries:
             report.deduplicated += 1
-            report.anomalies_attached -= len(pending.anomalies)
             return
-        path = self.object_path(pending.key)
+        path = self.object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": STORE_SCHEMA_VERSION,
-            "record": pending.record,
-            "anomalies": pending.anomalies,
+            "record": record,
+            "anomalies": anomalies,
         }
         scratch = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(scratch, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True)
             handle.write("\n")
         os.replace(scratch, path)
-        entries[run_id] = manifest_entry(pending.record, pending.anomalies)
+        entries[run_id] = manifest_entry(record, anomalies)
         report.ingested += 1
+        report.anomalies_attached += len(anomalies)
 
     def _write_manifest(self, manifest: dict[str, Any]) -> None:
         """Atomically replace the manifest document (temp + rename)."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping, Sequence, TYPE_CHECKING
+from typing import IO, Any, Iterable, Iterator, Mapping, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.channels import Network
@@ -489,6 +489,30 @@ class TelemetrySink:
         self.close()
 
 
+def parse_lines(
+    lines: Iterable[str], *, start: int = 1
+) -> Iterator[tuple[int, dict[str, Any] | None, list[str]]]:
+    """Parse JSONL telemetry lines: ``(line number, record, problems)``.
+
+    The one telemetry-line parser: :func:`read_telemetry`, ``repro obs
+    validate`` and ``repro obs follow`` all read through it.  Blank
+    lines are skipped (numbering still counts them, from *start*).  A
+    line that is not JSON yields ``record=None`` and one problem; a
+    parsed record yields the :func:`validate_record` problems, empty
+    when it is valid.
+    """
+    for number, line in enumerate(lines, start=start):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            yield number, None, [f"not valid JSON ({error.msg})"]
+            continue
+        yield number, record, validate_record(record)
+
+
 def read_telemetry(path: str | Path, *, strict: bool = True) -> list[dict[str, Any]]:
     """Load every record from a telemetry JSONL file.
 
@@ -498,88 +522,10 @@ def read_telemetry(path: str | Path, *, strict: bool = True) -> list[dict[str, A
     """
     records: list[dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                if strict:
-                    raise TelemetryError(
-                        f"{path}:{number}: not valid JSON ({error.msg})"
-                    ) from None
-                continue
-            problems = validate_record(record)
+        for number, record, problems in parse_lines(handle):
             if problems:
                 if strict:
-                    raise TelemetryError(
-                        f"{path}:{number}: " + "; ".join(problems)
-                    )
+                    raise TelemetryError(f"{path}:{number}: " + "; ".join(problems))
                 continue
             records.append(record)
     return records
-
-
-def summarize_records(records: Sequence[Mapping[str, Any]]) -> str:
-    """A human-readable digest of a batch of telemetry records.
-
-    Groups run records by protocol (count, slot stats, outcome mix),
-    experiment records by experiment id, campaign records by campaign
-    name, and anomaly records by rule.
-    """
-    if not records:
-        return "no telemetry records"
-    lines: list[str] = [f"{len(records)} records"]
-    runs = [r for r in records if r.get("kind") == "run"]
-    if runs:
-        lines.append(f"runs: {len(runs)}")
-        for protocol in sorted({r["protocol"] for r in runs}):
-            group = [r for r in runs if r["protocol"] == protocol]
-            slots = [r["slots"] for r in group]
-            outcomes = {
-                outcome: sum(1 for r in group if r["outcome"] == outcome)
-                for outcome in sorted({r["outcome"] for r in group})
-            }
-            outcome_text = ", ".join(
-                f"{count} {name}" for name, count in outcomes.items()
-            )
-            lines.append(
-                f"  {protocol}: {len(group)} runs, slots "
-                f"min {min(slots)} / mean {sum(slots) / len(slots):.1f} / "
-                f"max {max(slots)} ({outcome_text})"
-            )
-    experiments = [r for r in records if r.get("kind") == "experiment"]
-    if experiments:
-        lines.append(f"experiments: {len(experiments)}")
-        for experiment_id in sorted({r["experiment"] for r in experiments}):
-            group = [r for r in experiments if r["experiment"] == experiment_id]
-            elapsed = sum(r["elapsed_s"] for r in group)
-            lines.append(
-                f"  {experiment_id}: {len(group)} tables, "
-                f"{sum(r['rows'] for r in group)} rows, {elapsed:.2f}s"
-            )
-    campaigns = [r for r in records if r.get("kind") == "campaign"]
-    if campaigns:
-        lines.append(f"campaign points: {len(campaigns)}")
-        for name in sorted({r["campaign"] for r in campaigns}):
-            group = [r for r in campaigns if r["campaign"] == name]
-            lines.append(
-                f"  {name}: {len(group)} points, "
-                f"{sum(r['trials'] for r in group)} trials"
-            )
-    anomalies = [r for r in records if r.get("kind") == "anomaly"]
-    if anomalies:
-        lines.append(f"anomalies: {len(anomalies)}")
-        for rule in sorted({r["rule"] for r in anomalies}):
-            group = [r for r in anomalies if r["rule"] == rule]
-            lines.append(f"  {rule}: {len(group)}")
-    return "\n".join(lines)
-
-
-def tail_records(
-    records: Iterable[Mapping[str, Any]], limit: int
-) -> list[dict[str, Any]]:
-    """The last *limit* records of an iterable, as dictionaries."""
-    tail = list(records)[-max(0, limit):] if limit else []
-    return [dict(record) for record in tail]

@@ -4,6 +4,7 @@ The load-bearing guarantee is probe/trace parity: a
 :class:`~repro.obs.probes.CountersProbe` attached to a run must produce
 *exactly* the :class:`~repro.sim.metrics.TraceMetrics` that analysing a
 full :class:`~repro.sim.trace.EventTrace` of the same seeded run does,
+and a :class:`~repro.obs.metrics.MetricsRegistry` the same counts,
 including under jamming and under the destructive collision model.
 """
 
@@ -36,12 +37,13 @@ from repro.obs import (
     StreamingStat,
     TelemetryError,
     TelemetrySink,
+    TelemetryView,
     attach,
     campaign_record,
     experiment_record,
     read_telemetry,
+    run_query,
     run_record,
-    summarize_records,
     validate_record,
 )
 from repro.sim.adversary import RandomJammer
@@ -158,21 +160,34 @@ class TestFixedHistogram:
 
 
 class TestProbeTraceParity:
-    """CountersProbe must reproduce compute_metrics exactly."""
+    """CountersProbe and MetricsProbe must reproduce compute_metrics exactly."""
 
     def assert_parity(self, **run_kwargs):
         network = run_kwargs.pop("network", small_network())
         trace = EventTrace()
         counters = CountersProbe()
+        registry = MetricsRegistry()
         result = run_local_broadcast(
             network,
             seed=11,
             max_slots=5000,
             trace=trace,
             probe=counters,
+            metrics=registry,
             **run_kwargs,
         )
-        assert compute_metrics(trace) == counters.metrics()
+        expected = compute_metrics(trace)
+        assert expected == counters.metrics()
+        instruments = registry.instruments()
+        for name, field in (
+            ("sim_broadcasts", "transmissions"),
+            ("sim_collisions", "collisions"),
+            ("sim_deliveries", "deliveries"),
+            ("sim_wasted_listens", "wasted_listens"),
+            ("sim_peak_contention", "peak_channel_contention"),
+        ):
+            value = instruments[name].value(protocol="cogcast")
+            assert value == getattr(expected, field), name
         return result, counters
 
     def test_clean_run(self):
@@ -635,10 +650,16 @@ class TestTelemetrySink:
             )
             for seed in range(2)
         ]
-        text = summarize_records(records)
-        assert "cogcast: 2 runs" in text
-        assert "1 budget" in text and "1 completed" in text
-        assert summarize_records([]) == "no telemetry records"
+        view = TelemetryView(records)
+        (row,) = run_query(view, kind="run", group_by=["protocol"])
+        assert (row["protocol"], row["count"]) == ("cogcast", 2)
+        assert (row["min"], row["max"]) == (10, 20)
+        rows = run_query(view, kind="run", group_by=["protocol", "outcome"])
+        assert [(r["outcome"], r["count"]) for r in rows] == [
+            ("budget", 1),
+            ("completed", 1),
+        ]
+        assert run_query(TelemetryView([])) == []
 
 
 #: Why each runner's population declines the columnar kernel on a

@@ -18,6 +18,15 @@ from repro.assignment import shared_core
 from repro.sim.rng import derive_rng
 
 
+def table_row(text, *key):
+    """The cells after *key* in the first table row of *text* it starts."""
+    for line in text.splitlines():
+        cells = line.split()
+        if cells[: len(key)] == list(key):
+            return cells[len(key) :]
+    return None
+
+
 @pytest.fixture
 def telemetry_file(tmp_path):
     rng = derive_rng(1, "test-obs-cli")
@@ -57,8 +66,10 @@ class TestObsMain:
     def test_summary(self, telemetry_file, capsys):
         assert obs_main(["summary", str(telemetry_file)]) == 0
         out = capsys.readouterr().out
-        assert "cogcast: 4 runs" in out
-        assert "2 budget" in out and "2 completed" in out
+        assert "runs: 4" in out
+        assert table_row(out, "cogcast")[:1] == ["4"]
+        assert table_row(out, "cogcast", "budget")[:1] == ["2"]
+        assert table_row(out, "cogcast", "completed")[:1] == ["2"]
 
     def test_tail_limit(self, telemetry_file, capsys):
         assert obs_main(["tail", str(telemetry_file), "-n", "2"]) == 0
@@ -250,7 +261,7 @@ class TestMetricsFlag:
         pattern = str(tmp_path / "shard_*.jsonl")
         assert obs_main(["summary", pattern, "--metrics"]) == 0
         out = capsys.readouterr().out
-        assert "cogcast: 2 runs" in out
+        assert table_row(out, "cogcast")[:1] == ["2"]
         assert "metrics (2 snapshots merged):" in out
         assert 'demo_hits_total{where="cli"} 4' in out
 
@@ -339,3 +350,126 @@ class TestRunTelemetryFlag:
     def test_run_without_flag_writes_nothing(self, tmp_path, capsys):
         assert repro_main(["run", "E16", "--fast", "--trials", "2"]) == 0
         assert not list(tmp_path.iterdir())
+
+
+class TestCountArguments:
+    """Negative counts are usage errors, not silent whole-file slices."""
+
+    def test_negative_tail_limit_is_a_usage_error(self, telemetry_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["tail", str(telemetry_file), "-n", "-3"])
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_negative_explain_index_is_a_usage_error(self, telemetry_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["explain", str(telemetry_file), "--index", "-1"])
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    def test_zero_tail_limit_prints_nothing(self, telemetry_file, capsys):
+        assert obs_main(["tail", str(telemetry_file), "-n", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+
+class TestFileVerbsAgreeWithStore:
+    """``summary``, ``anomalies`` and ``explain`` read a shard the way
+    ``ingest`` and ``query`` do: one join, one group-by."""
+
+    @pytest.fixture
+    def shard(self, tmp_path):
+        """COGCAST and COGCOMP runs with slot-budget anomalies, then an
+        anomaly whose seed differs from the run just before it."""
+        from repro.core.runners import run_data_aggregation, run_local_broadcast
+        from repro.obs.telemetry import anomaly_record
+        from repro.obs.watchdog import SlotBudgetWatchdog
+
+        path = tmp_path / "shard.jsonl"
+        with TelemetrySink(path) as sink:
+            for seed in (0, 1):
+                network = Network.static(
+                    shared_core(8, 6, 2, derive_rng(seed, "test-obs-agree"))
+                )
+                run_local_broadcast(
+                    network,
+                    seed=seed,
+                    max_slots=200,
+                    telemetry=sink,
+                    watchdogs=[SlotBudgetWatchdog(budget=1)],
+                )
+                run_data_aggregation(
+                    network,
+                    [float(node) for node in range(8)],
+                    seed=seed,
+                    telemetry=sink,
+                    watchdogs=[SlotBudgetWatchdog(budget=1)],
+                )
+            sink.emit(
+                anomaly_record(
+                    rule="mediator-unique",
+                    seed=99,
+                    slot=5,
+                    message="planted",
+                    protocol="cogcomp",
+                )
+            )
+        return path
+
+    def stored_anomalies(self, shard, store_dir):
+        """``{(protocol, seed): [(rule, seed, slot), ...]}`` as ingested."""
+        from repro.obs.store import RunStore
+
+        store = RunStore(store_dir)
+        store.ingest([shard])
+        joined = {}
+        for entry in store.entries():
+            stored = store.load(entry["run_id"])
+            record = stored["record"]
+            joined[(record["protocol"], record["seed"])] = [
+                (anomaly["rule"], anomaly["seed"], anomaly["slot"])
+                for anomaly in stored["anomalies"]
+            ]
+        return joined
+
+    def test_anomaly_joins_match_the_store(self, shard, tmp_path, capsys):
+        import re
+
+        stored = self.stored_anomalies(shard, tmp_path / "store")
+        # The planted anomaly joins the run just before it, seed or not.
+        assert stored[("cogcomp", 1)][-1] == ("mediator-unique", 99, 5)
+        assert all(stored.values())
+
+        assert obs_main(["anomalies", str(shard)]) == 1
+        listed = {}
+        for line in capsys.readouterr().out.splitlines():
+            run = re.match(r"\[run\] (\S+) seed=(\d+) ", line)
+            anomaly = re.match(r"  \[(\S+)\] seed=(\d+) .*slot=(\d+):", line)
+            if run:
+                attached = listed.setdefault((run[1], int(run[2])), [])
+            elif anomaly:
+                attached.append((anomaly[1], int(anomaly[2]), int(anomaly[3])))
+        assert listed == stored
+
+        assert obs_main(["explain", str(shard)]) == 0
+        explained = {}
+        for section in capsys.readouterr().out.split("\n\n"):
+            anomaly = re.match(r"anomaly \[(\S+)\] seed=(\d+) .*slot=(\d+):", section)
+            run = re.search(r"^  run: (\S+) seed=(\d+) ", section, re.MULTILINE)
+            explained.setdefault((run[1], int(run[2])), []).append(
+                (anomaly[1], int(anomaly[2]), int(anomaly[3]))
+            )
+        assert explained == stored
+
+    def test_summary_groups_match_store_query(self, shard, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        assert obs_main(["summary", str(shard)]) == 0
+        summary = capsys.readouterr().out
+        assert obs_main(["ingest", str(shard), "--store", store_dir]) == 0
+        capsys.readouterr()
+        assert obs_main(["query", store_dir, "--group-by", "protocol"]) == 0
+        query = capsys.readouterr().out
+        assert "runs: 4" in summary and "anomalies: 5" in summary
+        for protocol in ("cogcast", "cogcomp"):
+            row = table_row(summary, protocol)
+            assert row == table_row(query, protocol)
+            assert row[0] == "2"

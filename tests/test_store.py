@@ -403,6 +403,19 @@ class TestQuery:
         rows = run_query(store, filters=parse_filters(["backend!=exact"]))
         assert rows == [] or rows[0]["count"] == 0
 
+    def test_null_filters_match_absent_fields(self, store):
+        """Exact-backend runs record no ``vector_fallback_reason``, so
+        ``=null`` matches all three and ``!=null`` none."""
+
+        def count(token):
+            rows = run_query(store, filters=parse_filters([token]))
+            return rows[0]["count"] if rows else 0
+
+        assert count("vector_fallback_reason=null") == 3
+        assert count("vector_fallback_reason!=null") == 0
+        assert count("backend!=none") == 3
+        assert count("backend=null") == 0
+
     def test_bad_filter_token_raises(self):
         with pytest.raises(ValueError, match="bad filter"):
             parse_filters(["protocol"])
