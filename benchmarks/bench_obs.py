@@ -1,10 +1,12 @@
-"""Benchmarks for the observability subsystem: probe overhead.
+"""Benchmarks for the observability subsystem: instrument overhead.
 
-The ``repro.obs`` design promise is that an unattached probe costs the
-engine one ``is None`` check per hook site.  These benchmarks time the
-same seeded COGCAST run bare, with a streaming ``CountersProbe``, and
-with the full instrument stack, so a hot-path regression shows up as a
-ratio between adjacent rows of ``pytest benchmarks/ --benchmark-only``.
+An un-instrumented run takes the engine's fast kernel, which fires no
+hooks at all; attaching any probe moves the run onto the general
+kernel, which fires every hook.  These benchmarks time the same seeded
+COGCAST run bare, with the metrics registry feeder alone, and with the
+instruments production runs attach (metrics, spans, and the COGCAST
+watchdogs), so the cost of observing shows up as a ratio between
+adjacent rows of ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -13,17 +15,23 @@ import random
 
 from repro import assignment, sim
 from repro.core import run_local_broadcast
-from repro.obs import CountersProbe, HistogramProbe, MultiProbe, Profiler
+from repro.obs import (
+    InformedSetWatchdog,
+    MetricsRegistry,
+    SlotBudgetWatchdog,
+    SpanProbe,
+)
 
 SEED = 5
 MAX_SLOTS = 2_000
 ROUNDS = 5
+N, C, K = 48, 12, 3
 
 
 def _network() -> sim.Network:
     """A mid-size shared-core instance, identical across benchmarks."""
     rng = random.Random(11)
-    plan = assignment.shared_core(n=48, c=12, k=3, rng=rng).shuffled_labels(rng)
+    plan = assignment.shared_core(n=N, c=C, k=K, rng=rng).shuffled_labels(rng)
     return sim.Network.static(plan)
 
 
@@ -37,37 +45,39 @@ def test_broadcast_bare(benchmark):
     assert result.completed
 
 
-def test_broadcast_counters_probe(benchmark):
+def test_broadcast_metrics(benchmark):
     network = _network()
 
     def run():
-        probe = CountersProbe()
+        registry = MetricsRegistry()
         result = run_local_broadcast(
-            network, seed=SEED, max_slots=MAX_SLOTS, probe=probe
+            network, seed=SEED, max_slots=MAX_SLOTS, metrics=registry
         )
-        return result, probe
+        return result, registry
 
-    result, probe = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-    # The probe observes without perturbing: same run, same counters.
+    result, registry = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     assert result.completed
-    assert probe.metrics().successes > 0
+    slots = registry.instruments()["sim_slots"]
+    assert slots.value(protocol="cogcast") == result.slots
 
 
 def test_broadcast_full_instrumentation(benchmark):
     network = _network()
 
     def run():
-        probe = MultiProbe([CountersProbe(), HistogramProbe()])
-        profiler = Profiler()
+        spans = SpanProbe()
+        watchdogs = [SlotBudgetWatchdog(), InformedSetWatchdog(source=0)]
         result = run_local_broadcast(
-            network, seed=SEED, max_slots=MAX_SLOTS, probe=probe, profiler=profiler
+            network,
+            seed=SEED,
+            max_slots=MAX_SLOTS,
+            metrics=MetricsRegistry(),
+            spans=spans,
+            watchdogs=watchdogs,
         )
-        return result, profiler
+        return result, spans, watchdogs
 
-    result, profiler = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    result, spans, watchdogs = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     assert result.completed
-    assert set(profiler.sections()) == {
-        "engine.collect",
-        "engine.resolve",
-        "engine.deliver",
-    }
+    assert len(spans.informed) == N
+    assert not any(watchdog.anomalies for watchdog in watchdogs)

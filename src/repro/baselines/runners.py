@@ -12,7 +12,7 @@ Each runner supplies its factory, stop condition, budget, and result
 fold, and hands building, timing, and telemetry to
 :func:`repro.core.runners.drive` — the same driver the core runners
 use — so baseline runs take the same optional instruments (probe,
-profiler, metrics, resources, telemetry sink, backend) and leave the
+metrics, resources, telemetry sink, backend) and leave the
 same ``kind="run"`` manifests as the core protocols.
 """
 
@@ -39,7 +39,6 @@ from repro.types import NodeId
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.metrics import MetricsRegistry, ResourceSampler
     from repro.obs.probe import SlotProbe
-    from repro.obs.profiler import Profiler
     from repro.obs.telemetry import TelemetrySink
     from repro.sim.backends import EngineBackend
 
@@ -53,7 +52,6 @@ def run_rendezvous_broadcast(
     body: Any = None,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -68,9 +66,8 @@ def run_rendezvous_broadcast(
 
     result, protocols = drive(
         "rendezvous-broadcast", network, factory, AllInformed, max_slots,
-        seed=seed, collision=collision, probe=probe, profiler=profiler,
-        metrics=metrics, resources=resources, telemetry=telemetry,
-        backend=backend,
+        seed=seed, collision=collision, probe=probe, metrics=metrics,
+        resources=resources, telemetry=telemetry, backend=backend,
     )
     return BroadcastResult.from_run(result, protocols)
 
@@ -84,7 +81,6 @@ def run_stay_and_scan_broadcast(
     body: Any = None,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -101,9 +97,8 @@ def run_stay_and_scan_broadcast(
 
     result, protocols = drive(
         "stay-and-scan", network, factory, AllInformed, budget,
-        seed=seed, collision=collision, probe=probe, profiler=profiler,
-        metrics=metrics, resources=resources, telemetry=telemetry,
-        backend=backend,
+        seed=seed, collision=collision, probe=probe, metrics=metrics,
+        resources=resources, telemetry=telemetry, backend=backend,
     )
     return BroadcastResult.from_run(result, protocols)
 
@@ -117,7 +112,6 @@ def run_rendezvous_aggregation(
     max_slots: int,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -138,9 +132,8 @@ def run_rendezvous_aggregation(
 
     result, protocols = drive(
         "rendezvous-aggregation", network, factory, all_collected, max_slots,
-        seed=seed, collision=collision, probe=probe, profiler=profiler,
-        metrics=metrics, resources=resources, telemetry=telemetry,
-        backend=backend,
+        seed=seed, collision=collision, probe=probe, metrics=metrics,
+        resources=resources, telemetry=telemetry, backend=backend,
     )
     return BaselineAggregationResult(
         slots=result.slots,
@@ -158,7 +151,6 @@ def run_hopping_together(
     body: Any = None,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -185,8 +177,7 @@ def run_hopping_together(
 
     result, protocols = drive(
         "hopping-together", network, factory, AllInformed, max_slots,
-        seed=seed, collision=collision, probe=probe, profiler=profiler,
-        metrics=metrics, resources=resources, telemetry=telemetry,
-        backend=backend,
+        seed=seed, collision=collision, probe=probe, metrics=metrics,
+        resources=resources, telemetry=telemetry, backend=backend,
     )
     return BroadcastResult.from_run(result, protocols)

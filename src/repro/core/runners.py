@@ -19,10 +19,10 @@ engine probe — a user *probe*, a *spans* probe
 (:class:`repro.obs.watchdog.WatchdogProbe`) that check the paper's
 invariants live, and a :class:`~repro.obs.metrics.MetricsProbe` when a
 *metrics* registry is given — builds the engine on the chosen
-*backend*, times the run with ``perf_counter`` (which never disengages
-the fast kernel), and sends one ``kind="run"`` manifest to the
-*telemetry* sink, followed by the watchdogs' ``kind="anomaly"``
-records.  The manifest is emitted before a runner's
+*backend*, times the build and the run with ``perf_counter`` (outside
+the engine, so timing never disengages the fast kernel), and sends one
+``kind="run"`` manifest to the *telemetry* sink, followed by the
+watchdogs' ``kind="anomaly"`` records.  The manifest is emitted before a runner's
 ``require_completion`` check raises, so failed runs leave a record.
 """
 
@@ -51,7 +51,6 @@ from repro.types import NodeId, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.metrics import MetricsRegistry, ResourceSampler
     from repro.obs.probe import SlotProbe
-    from repro.obs.profiler import Profiler
     from repro.obs.spans import SpanProbe
     from repro.obs.telemetry import TelemetrySink
     from repro.obs.watchdog import WatchdogProbe
@@ -76,7 +75,6 @@ def drive(
     trace: EventTrace | None = None,
     jammer: Jammer | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -92,8 +90,10 @@ def drive(
     record.  The run record carries the execution path — ``backend``,
     ``fast_path`` and, when the exact engine took the general kernel,
     ``fast_path_reason``, plus the vector engine's
-    ``vector_fallback_reason`` — and ``elapsed_s`` around
-    :meth:`~repro.sim.engine.Engine.run` alone.
+    ``vector_fallback_reason`` — plus two ``perf_counter`` durations:
+    ``elapsed_s`` around :meth:`~repro.sim.engine.Engine.run` alone,
+    and ``timings.build`` around :func:`~repro.sim.engine.build_engine`
+    (views, protocols, and the engine).
     """
     instruments = [
         instrument
@@ -106,6 +106,7 @@ def drive(
         engine_probe: "SlotProbe | None" = MultiProbe(instruments)
     else:
         engine_probe = instruments[0] if instruments else None
+    build_start = perf_counter()
     engine = build_engine(
         network,
         factory,
@@ -114,9 +115,9 @@ def drive(
         trace=trace,
         jammer=jammer,
         probe=engine_probe,
-        profiler=profiler,
         backend=backend,
     )
+    build_s = perf_counter() - build_start
     protocols: list[Any] = engine.protocols
     stop_when = stop(protocols)
     run_start = perf_counter()
@@ -131,11 +132,11 @@ def drive(
                 slots=result.slots,
                 outcome=outcome(result, protocols),
                 probe=probe,
-                profiler=profiler,
                 spans=spans,
                 metrics=metrics,
                 resources=None if resources is None else resources.delta(),
                 elapsed_s=elapsed_s,
+                build_s=build_s,
                 fast_path=engine.fast_path_engaged,
                 fast_path_reason=getattr(engine, "fast_path_reason", None),
                 backend=resolve_backend(backend).name,
@@ -159,7 +160,6 @@ def run_local_broadcast(
     trace: EventTrace | None = None,
     require_completion: bool = False,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -179,11 +179,12 @@ def run_local_broadcast(
     :class:`~repro.obs.metrics.MetricsProbe` and embeds its snapshot in
     the run record; *resources* (a started
     :class:`~repro.obs.metrics.ResourceSampler`) embeds its delta.
-    Run records carry ``elapsed_s`` and the execution path (see
-    :func:`drive`) when telemetry is attached.  *backend* selects the
-    execution backend (see :mod:`repro.sim.backends`); results are
-    equivalent per the backend's tier, and ineligible configurations
-    transparently run exact.
+    Run records carry ``elapsed_s``, ``timings.build`` and the
+    execution path (see :func:`drive`) when telemetry is attached.
+    *backend* selects the execution backend (see
+    :mod:`repro.sim.backends`); results are equivalent per the
+    backend's tier, and ineligible configurations transparently run
+    exact.
     """
 
     def factory(view: NodeView) -> CogCast:
@@ -192,9 +193,8 @@ def run_local_broadcast(
     result, protocols = drive(
         "cogcast", network, factory, AllInformed, max_slots,
         seed=seed, collision=collision, trace=trace, jammer=jammer,
-        probe=probe, profiler=profiler, spans=spans, watchdogs=watchdogs,
-        metrics=metrics, resources=resources, telemetry=telemetry,
-        backend=backend,
+        probe=probe, spans=spans, watchdogs=watchdogs, metrics=metrics,
+        resources=resources, telemetry=telemetry, backend=backend,
     )
     if require_completion and not result.completed:
         raise SimulationError(
@@ -217,7 +217,6 @@ def run_data_aggregation(
     trace: EventTrace | None = None,
     require_completion: bool = False,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -291,9 +290,8 @@ def run_data_aggregation(
     result, protocols = drive(
         "cogcomp", network, factory, source_done, max_slots,
         seed=seed, outcome=outcome, collision=collision, trace=trace,
-        probe=probe, profiler=profiler, spans=spans, watchdogs=watchdogs,
-        metrics=metrics, resources=resources, telemetry=telemetry,
-        backend=backend,
+        probe=probe, spans=spans, watchdogs=watchdogs, metrics=metrics,
+        resources=resources, telemetry=telemetry, backend=backend,
     )
     source_protocol = protocols[source]
     failures = tuple(
@@ -329,7 +327,6 @@ def run_gossip(
     max_slots: int,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -361,9 +358,8 @@ def run_gossip(
 
     result, protocols = drive(
         "gossip", network, factory, all_covered, max_slots,
-        seed=seed, collision=collision, probe=probe, profiler=profiler,
-        metrics=metrics, resources=resources, telemetry=telemetry,
-        backend=backend,
+        seed=seed, collision=collision, probe=probe, metrics=metrics,
+        resources=resources, telemetry=telemetry, backend=backend,
     )
     return GossipResult(
         slots=result.slots,

@@ -11,14 +11,11 @@ constant-memory alternative:
   With no probe attached the engine pays only a ``None`` check, so
   production sweeps keep their benchmark numbers.
 - **Streaming aggregators** (:class:`StreamingStat`,
-  :class:`FixedHistogram`) and the concrete probes built on them
-  (:class:`CountersProbe`, :class:`HistogramProbe`,
-  :class:`ActivityProbe`).  :meth:`CountersProbe.metrics` reproduces
-  :class:`~repro.sim.metrics.TraceMetrics` exactly, without retaining
-  a single event.
-- **Profiler** (:class:`Profiler`) — ``time.perf_counter``-based wall
-  time attribution to engine sections and harness phases (R2-safe:
-  monotonic counters only, never the wall clock).
+  :class:`FixedHistogram`) and :class:`ActivityProbe` (per-node
+  broadcast/listen/idle tallies).  Channel events are counted once,
+  streaming, by :class:`MetricsProbe` (see **Metrics**); the reference
+  fold over a recorded trace is
+  :func:`repro.sim.metrics.compute_metrics`.
 - **Spans** (:class:`SpanProbe`, :class:`SpanTree`, :class:`Span`) —
   the causal layer: reconstructs COGCAST's distribution tree (who
   informed whom, when, on which channel) and COGCOMP's four phase
@@ -65,8 +62,8 @@ constant-memory alternative:
   a watchdog anomaly back to its run's span tree and metrics snapshot
   (:func:`explain_records`).
 
-Everything here is analysis-side: protocols never see probes, sinks,
-or profilers (lint rule R4 forbids protocol modules from importing
+Everything here is analysis-side: protocols never see probes or
+sinks (lint rule R4 forbids protocol modules from importing
 this package).
 """
 
@@ -90,9 +87,13 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.probe import MultiProbe, ProtocolProbe, SlotProbe, attach
-from repro.obs.probes import ActivityProbe, CountersProbe, HistogramProbe
-from repro.obs.profiler import Profiler, SectionStat
+from repro.obs.probe import (
+    ActivityProbe,
+    MultiProbe,
+    ProtocolProbe,
+    SlotProbe,
+    attach,
+)
 from repro.obs.provenance import (
     CODE_VERSION,
     canonical_json,
@@ -146,12 +147,10 @@ __all__ = [
     "CODE_VERSION",
     "ClusterSizeAgreementWatchdog",
     "Counter",
-    "CountersProbe",
     "Filter",
     "FixedHistogram",
     "Gauge",
     "Histogram",
-    "HistogramProbe",
     "InformEdge",
     "InformedSetWatchdog",
     "IngestReport",
@@ -161,12 +160,10 @@ __all__ = [
     "MetricsProbe",
     "MetricsRegistry",
     "MultiProbe",
-    "Profiler",
     "ProtocolProbe",
     "ResourceSampler",
     "RunStore",
     "STORE_SCHEMA_VERSION",
-    "SectionStat",
     "SlotBudgetWatchdog",
     "SlotProbe",
     "Span",

@@ -11,7 +11,13 @@ constant memory.  Two granularities exist:
   (:meth:`~repro.sim.channels.Network.attach_probe`) and the collision
   layer (:class:`~repro.sim.collision.ProbedCollision`).
 - :class:`ProtocolProbe` — adds per-node hooks: every action a node
-  takes and every outcome it observes.
+  takes and every outcome it observes.  :class:`ActivityProbe` is the
+  ready-made one: per-node broadcast/listen/idle and outcome tallies.
+
+Channel-event counting has one reference fold,
+:func:`repro.sim.metrics.compute_metrics` over a recorded trace, and
+one streaming counter, :class:`repro.obs.metrics.MetricsProbe`, which
+feeds a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 All hooks are no-ops on the base classes; subclass and override what
 you need.  The engine checks ``probe is None`` before every hook, so an
@@ -27,7 +33,10 @@ not import them (lint rule R4).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Iterable
+
+from repro.sim.actions import Broadcast, Idle, Listen
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.sim.actions import Action, SlotOutcome
@@ -173,6 +182,65 @@ class MultiProbe(ProtocolProbe):
         """Forward to the node-observing children only."""
         for probe in self._node_probes:
             probe.on_outcome(slot, node, outcome)  # type: ignore[attr-defined]
+
+
+class ActivityProbe(ProtocolProbe):
+    """Per-node action accounting: who talks, who listens, who idles.
+
+    A :class:`ProtocolProbe`: it observes every node's action and
+    outcome, at one hook call per live node per slot.  Useful for
+    spotting starved or chattering nodes that slot-level channel events
+    cannot attribute.
+    """
+
+    def __init__(self) -> None:
+        self.broadcasts: Counter[NodeId] = Counter()
+        self.listens: Counter[NodeId] = Counter()
+        self.idles: Counter[NodeId] = Counter()
+        self.wins: Counter[NodeId] = Counter()
+        self.receptions: Counter[NodeId] = Counter()
+        self.jammed_slots: Counter[NodeId] = Counter()
+
+    def on_action(self, slot: "Slot", node: "NodeId", action: "Action") -> None:
+        """Tally the action kind for *node*."""
+        if isinstance(action, Broadcast):
+            self.broadcasts[node] += 1
+        elif isinstance(action, Listen):
+            self.listens[node] += 1
+        elif isinstance(action, Idle):
+            self.idles[node] += 1
+
+    def on_outcome(self, slot: "Slot", node: "NodeId", outcome: "SlotOutcome") -> None:
+        """Tally wins, receptions, and jammed slots for *node*."""
+        if getattr(outcome, "success", None):
+            self.wins[node] += 1
+        if getattr(outcome, "received", None) is not None:
+            self.receptions[node] += 1
+        if getattr(outcome, "jammed", False):
+            self.jammed_slots[node] += 1
+
+    def active_slots(self, node: "NodeId") -> int:
+        """Slots in which *node* was on the air (broadcast or listen)."""
+        return self.broadcasts[node] + self.listens[node]
+
+    def busiest(self, count: int = 5) -> "list[tuple[NodeId, int]]":
+        """The *count* nodes with the most broadcast slots."""
+        return self.broadcasts.most_common(count)
+
+    def as_dict(self) -> dict[str, object]:
+        """JSON-ready totals (per-node detail collapsed to aggregates)."""
+        nodes = (
+            set(self.broadcasts) | set(self.listens) | set(self.idles)
+        )
+        return {
+            "nodes_seen": len(nodes),
+            "broadcast_slots": sum(self.broadcasts.values()),
+            "listen_slots": sum(self.listens.values()),
+            "idle_slots": sum(self.idles.values()),
+            "win_slots": sum(self.wins.values()),
+            "reception_slots": sum(self.receptions.values()),
+            "jammed_slots": sum(self.jammed_slots.values()),
+        }
 
 
 def attach(

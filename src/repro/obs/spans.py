@@ -1,7 +1,8 @@
 """Causal spans: distribution trees and phase spans from engine ground truth.
 
-The flat probes in :mod:`repro.obs.probes` answer *how much* (counters,
-histograms); this module answers *why* and *in what order*.  A
+The metrics feeder (:class:`repro.obs.metrics.MetricsProbe`) answers
+*how much* (counters, histograms); this module answers *why* and *in
+what order*.  A
 :class:`SpanProbe` watches the same :class:`~repro.sim.trace.ChannelEvent`
 stream and reconstructs the run's causal structure:
 

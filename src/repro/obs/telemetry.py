@@ -2,7 +2,7 @@
 
 Every instrumented run emits one machine-readable record — the seed,
 the network shape ``(n, c, k, C)``, the protocol, the slot count, the
-outcome, and optionally a probe's counters and a profiler's timings.
+outcome, and optionally a probe's counters and the build's timing.
 Records accumulate as JSON lines in a telemetry file that the
 ``python -m repro obs`` CLI can validate, tail, and summarize, and
 that CI uploads as a build artifact.
@@ -41,6 +41,10 @@ TELEMETRY_SCHEMA_VERSION = 1
 
 #: Allowed values of a run record's ``outcome`` field.
 RUN_OUTCOMES = ("completed", "budget", "failed")
+
+#: Fields that vary between identical runs (durations and host facts):
+#: determinism checks and deduplication ignore them.
+VOLATILE_FIELDS = ("elapsed_s", "resources", "timings")
 
 #: kind -> required fields -> allowed types (None marks nullable).
 _REQUIRED: dict[str, dict[str, tuple[type, ...]]] = {
@@ -195,11 +199,11 @@ def run_record(
     slots: int,
     outcome: str,
     probe: Any = None,
-    profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
     elapsed_s: float | None = None,
+    build_s: float | None = None,
     fast_path: bool | None = None,
     fast_path_reason: str | None = None,
     backend: str | None = None,
@@ -209,16 +213,17 @@ def run_record(
     """Build a ``kind="run"`` manifest for one engine run.
 
     The network supplies ``(n, c, k)`` and the slot-0 universe size
-    ``C``.  When *probe* or *profiler* expose ``as_dict()``, their
-    snapshots ride along as ``counters`` / ``timings``; when *spans*
-    exposes ``summary()`` (a :class:`repro.obs.spans.SpanProbe`) or is
-    already a mapping, it rides along as ``spans``.  *metrics* is a
+    ``C``.  When *probe* exposes ``as_dict()``, its snapshot rides
+    along as ``counters``; when *spans* exposes ``summary()`` (a
+    :class:`repro.obs.spans.SpanProbe`) or is already a mapping, it
+    rides along as ``spans``.  *metrics* is a
     :class:`repro.obs.metrics.MetricsRegistry` (or its snapshot dict),
     embedded as the validated ``metrics`` field; *resources* is a
     :meth:`repro.obs.metrics.ResourceSampler.delta` mapping; timing
     context rides along as ``elapsed_s`` (harness-measured
-    ``perf_counter`` duration of the engine run) and ``fast_path``
-    (whether the fast-path kernel was eligible), with
+    ``perf_counter`` duration of the engine run), *build_s* as
+    ``timings.build`` (the same for building the engine), and
+    ``fast_path`` (whether the fast-path kernel was eligible), with
     *fast_path_reason* recording why the exact engine took the general
     kernel, when it did.  *backend* names the resolved engine backend
     (defaults to the process-wide default) and
@@ -245,8 +250,6 @@ def run_record(
     }
     if probe is not None and hasattr(probe, "as_dict"):
         record["counters"] = probe.as_dict()
-    if profiler is not None and hasattr(profiler, "as_dict"):
-        record["timings"] = profiler.as_dict()
     if spans is not None:
         record["spans"] = (
             spans.summary() if hasattr(spans, "summary") else dict(spans)
@@ -259,6 +262,9 @@ def run_record(
         record["resources"] = dict(resources)
     if elapsed_s is not None:
         record["elapsed_s"] = round(float(elapsed_s), 6)
+    if build_s is not None:
+        seconds = round(float(build_s), 6)
+        record["timings"] = {"build": {"seconds": seconds, "calls": 1}}
     if fast_path is not None:
         record["fast_path"] = bool(fast_path)
     if fast_path_reason is not None:
@@ -296,18 +302,16 @@ def experiment_record(
     fast: bool,
     elapsed_s: float,
     rows: int,
-    profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """Build a ``kind="experiment"`` manifest for one table generation.
 
-    When *profiler* exposes ``as_dict()`` its section stats ride along
-    as ``timings``; when *spans* exposes ``summary()`` (or is already a
-    mapping) it rides along as ``spans``; *metrics* (a registry or its
-    snapshot) and *resources* (a sampler delta) embed like they do on
-    run records.  The ``provenance`` block hashes ``(experiment id,
+    When *spans* exposes ``summary()`` (or is already a mapping) it
+    rides along as ``spans``; *metrics* (a registry or its snapshot)
+    and *resources* (a sampler delta) embed like they do on run
+    records.  The ``provenance`` block hashes ``(experiment id,
     trials, fast, backend)``.
     """
     from repro.obs.provenance import provenance_block
@@ -332,8 +336,6 @@ def experiment_record(
             }
         ),
     }
-    if profiler is not None and hasattr(profiler, "as_dict"):
-        record["timings"] = profiler.as_dict()
     if spans is not None:
         record["spans"] = (
             spans.summary() if hasattr(spans, "summary") else dict(spans)

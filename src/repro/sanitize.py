@@ -49,19 +49,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.obs.telemetry import VOLATILE_FIELDS
+
 #: Snapshot schema tag; bump when the capture layout changes.
 CAPTURE_SCHEMA = "sanitize-capture-1"
-
-#: Telemetry fields that are allowed to vary between runs (timing and
-#: host facts), stripped before the bit-diff.
-_VOLATILE_FIELDS = ("elapsed_s", "resources", "timings")
 
 #: Telemetry fields that legitimately differ across the sanitizer's own
 #: perturbed conditions — the backend check runs ``exact`` against
 #: ``vector-replay``, so execution-identity fields (``backend``,
 #: ``fast_path``, ``fast_path_reason``, ``vector_fallback_reason``) and
 #: the provenance block (whose config hash includes the backend) must
-#: not count as divergence.  Stripped alongside the volatile fields.
+#: not count as divergence.  Stripped alongside
+#: :data:`~repro.obs.telemetry.VOLATILE_FIELDS`.
 _CONDITION_FIELDS = (
     "backend",
     "fast_path",
@@ -136,7 +135,7 @@ def _normalize_telemetry(record: Mapping[str, Any]) -> dict[str, Any]:
     normalized = {
         key: _canonical(value)
         for key, value in record.items()
-        if key not in _VOLATILE_FIELDS and key not in _CONDITION_FIELDS
+        if key not in VOLATILE_FIELDS and key not in _CONDITION_FIELDS
     }
     metrics = normalized.get("metrics")
     if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):

@@ -83,7 +83,6 @@ class EngineBackend(abc.ABC):
         trace: "EventTrace | None" = None,
         jammer: "Jammer | None" = None,
         probe: Any = None,
-        profiler: Any = None,
     ) -> Any:
         """Build the engine-like executor for *protocols* over *network*."""
 

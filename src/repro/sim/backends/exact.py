@@ -38,7 +38,6 @@ class ExactBackend(EngineBackend):
         trace: "EventTrace | None" = None,
         jammer: "Jammer | None" = None,
         probe: Any = None,
-        profiler: Any = None,
     ) -> Engine:
         return Engine(
             network,
@@ -48,5 +47,4 @@ class ExactBackend(EngineBackend):
             trace=trace,
             jammer=jammer,
             probe=probe,
-            profiler=profiler,
         )

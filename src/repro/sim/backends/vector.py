@@ -36,7 +36,7 @@ columnar program via the duck-typed ``vector_kind`` /
 random label each slot, informed nodes broadcast one message,
 uninformed nodes listen and become informed on any reception, and no
 node ever terminates on its own).  Any configuration it cannot prove
-equivalent — jammers, non-default collision models, traces, profilers,
+equivalent — jammers, non-default collision models, traces,
 per-event probes, unknown protocols, unknown stop conditions — falls
 back to the exact engine transparently, through one exit taken before
 any run hook fires, so ``backend="vector"`` is always safe to request.
@@ -148,7 +148,6 @@ class VectorEngine:
         trace: "EventTrace | None" = None,
         jammer: Jammer | None = None,
         probe: Any = None,
-        profiler: Any = None,
         rng_mode: str = "numpy",
     ) -> None:
         if len(protocols) != network.num_nodes:
@@ -163,7 +162,6 @@ class VectorEngine:
         self.rng = derive_rng(seed, "engine-collision")
         self.trace = trace
         self.jammer = jammer or NullJammer()
-        self.profiler = profiler
         self.rng_mode = rng_mode
         self.slot = 0
         #: The most recent :meth:`run`'s plan (``None`` before any run).
@@ -276,23 +274,26 @@ class VectorEngine:
         )
 
     def _exact_engine(self) -> Engine:
-        """The lazily built fallback engine, sharing the collision stream."""
-        if self._exact is None:
-            self._exact = Engine(
-                self.network,
-                self.protocols,
-                collision=self.collision,
-                seed=self._seed,
-                trace=self.trace,
-                jammer=self.jammer,
-                probe=self._probe,
-                profiler=self.profiler,
+        """The fallback engine, synced to this engine's current state.
+
+        Built once, then brought up to date on every fallback: the
+        slot counter (a columnar run may have advanced it), the
+        trace, jammer, and collision model (assignable between runs),
+        and the collision stream, shared so that a replay-mode vector
+        run followed by a fallback run keeps drawing from where the
+        previous run stopped, exactly like one Engine.
+        """
+        engine = self._exact
+        if engine is None:
+            engine = self._exact = Engine(
+                self.network, self.protocols, seed=self._seed, probe=self._probe
             )
-            # One collision stream across both kernels: a replay-mode
-            # vector run followed by a fallback run keeps drawing from
-            # where the previous run stopped, exactly like one Engine.
-            self._exact.rng = self.rng
-        return self._exact
+        engine.slot = self.slot
+        engine.trace = self.trace
+        engine.jammer = self.jammer
+        engine.collision = self.collision
+        engine.rng = self.rng
+        return engine
 
     # -- the columnar kernel --------------------------------------------
 
@@ -514,7 +515,6 @@ class VectorBackend(EngineBackend):
         trace: "EventTrace | None" = None,
         jammer: Jammer | None = None,
         probe: Any = None,
-        profiler: Any = None,
     ) -> VectorEngine:
         _numpy()
         return VectorEngine(
@@ -525,6 +525,5 @@ class VectorBackend(EngineBackend):
             trace=trace,
             jammer=jammer,
             probe=probe,
-            profiler=profiler,
             rng_mode=self.rng_mode,
         )

@@ -12,15 +12,15 @@ labels and their own outcomes.  All global knowledge (physical channels,
 who collided with whom) lives here and, optionally, in an
 :class:`~repro.sim.trace.EventTrace` for analysis.
 
-Observability: the engine carries two optional, duck-typed instruments
+Observability: the engine carries one optional, duck-typed instrument
 from :mod:`repro.obs` — a *probe* (fired per slot, per channel event,
-and, for node-observing probes, per action/outcome) and a *profiler*
-(``perf_counter`` wall time attributed to the ``engine.collect`` /
-``engine.resolve`` / ``engine.deliver`` sections).  Both default to
-``None`` and cost exactly one ``is None`` check per hook site when
+and, for node-observing probes, per action/outcome).  It defaults to
+``None`` and costs exactly one ``is None`` check per hook site when
 absent, so un-instrumented runs keep their benchmark numbers.  The
 engine deliberately does not import :mod:`repro.obs` (the dependency
-points the other way); any object with the right hooks works.
+points the other way); any object with the right hooks works.  The
+engine reads no clock: :func:`repro.core.runners.drive` times the
+build and the run around it.
 
 Performance: :meth:`Engine.run` detects the common configuration —
 static schedule, no jammer, the paper's single-winner collision model,
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.sim.actions import Action, Broadcast, Envelope, Idle, Listen, SlotOutcome
@@ -50,7 +49,6 @@ from repro.types import Channel, NodeId, ProtocolViolationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only; sim must not import obs
     from repro.obs.probe import SlotProbe
-    from repro.obs.profiler import Profiler
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,8 +98,6 @@ def _declined(engine: Any, stop_when: Any, candidate: str) -> str | None:
     vector = candidate == "vector"
     if engine.trace is not None:
         return "event trace attached"
-    if engine.profiler is not None:
-        return "profiler attached"
     probe = engine.probe
     if probe is not None:
         if not vector:
@@ -190,10 +186,6 @@ class Engine:
         (:class:`repro.obs.metrics.MetricsProbe` — slots, broadcasts,
         collisions, deliveries) all ride them, so adding an instrument
         never adds a new hot-path branch.
-    profiler:
-        Optional profiler (see :mod:`repro.obs.profiler`).  Populates
-        the ``engine.collect`` / ``engine.resolve`` / ``engine.deliver``
-        wall-time sections.
 
     :meth:`run` uses the specialized fast kernel whenever
     :func:`plan_run` allows it.  The kernel is bit-identical to the
@@ -213,7 +205,6 @@ class Engine:
         trace: EventTrace | None = None,
         jammer: Jammer | None = None,
         probe: "SlotProbe | None" = None,
-        profiler: "Profiler | None" = None,
     ) -> None:
         if len(protocols) != network.num_nodes:
             raise ValueError(
@@ -225,7 +216,6 @@ class Engine:
         self.rng = derive_rng(seed, "engine-collision")
         self.trace = trace
         self.jammer = jammer or NullJammer()
-        self.profiler = profiler
         self._probe: "SlotProbe | None" = None
         self._node_probe: "SlotProbe | None" = None
         self._fast_run_active = False
@@ -276,15 +266,12 @@ class Engine:
     def step(self) -> None:
         """Execute one synchronous slot.
 
-        Effects: rng, perf-counter.
+        Effects: rng.
         """
         slot = self.slot
         num_nodes = self.network.num_nodes
         probe = self._probe
         node_probe = self._node_probe
-        profiler = self.profiler
-        if profiler is not None:
-            section_start = perf_counter()
         if probe is not None:
             probe.on_slot_begin(slot)
 
@@ -317,11 +304,6 @@ class Engine:
                 broadcasters.setdefault(channel, []).append((node, envelope))
             else:
                 listeners.setdefault(channel, []).append(node)
-
-        if profiler is not None:
-            now = perf_counter()
-            profiler.add("engine.collect", now - section_start)
-            section_start = now
 
         # Resolve contention channel by channel.
         outcomes: dict[NodeId, SlotOutcome] = {}
@@ -389,11 +371,6 @@ class Engine:
                 if probe is not None:
                     probe.on_channel_event(event)
 
-        if profiler is not None:
-            now = perf_counter()
-            profiler.add("engine.resolve", now - section_start)
-            section_start = now
-
         # Idle nodes still get an outcome so protocols see every slot.
         for node, action in actions.items():
             if node not in outcomes:
@@ -406,8 +383,6 @@ class Engine:
 
         if probe is not None:
             probe.on_slot_end(slot, len(actions))
-        if profiler is not None:
-            profiler.add("engine.deliver", perf_counter() - section_start)
 
         self.slot += 1
 
@@ -555,7 +530,7 @@ class Engine:
         produces bit-identical results faster; the choice and its
         reason are recorded in :attr:`plan`.
 
-        Effects: rng, perf-counter.
+        Effects: rng.
         """
         condition = stop_when if stop_when is not None else (lambda engine: engine.all_done)
         self.plan = plan_run(self, stop_when, "fast")
@@ -608,7 +583,6 @@ def build_engine(
     trace: EventTrace | None = None,
     jammer: Jammer | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     backend: object = None,
 ) -> Any:
     """Convenience constructor: build views, protocols, and the engine.
@@ -639,5 +613,4 @@ def build_engine(
         trace=trace,
         jammer=jammer,
         probe=probe,
-        profiler=profiler,
     )

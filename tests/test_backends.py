@@ -35,6 +35,7 @@ from repro.assignment import (
 )
 from repro.core import CogCast, run_local_broadcast
 from repro.obs.metrics import MetricsProbe, MetricsRegistry
+from repro.obs.probe import SlotProbe
 from repro.obs.watchdog import InformedSetWatchdog, SlotBudgetWatchdog
 from repro.sim import ChannelAssignment, EventTrace, Network
 from repro.sim.adversary import RandomJammer
@@ -51,6 +52,7 @@ from repro.sim.backends import (
     resolve_backend,
 )
 from repro.sim.channels import DynamicSchedule
+from repro.sim.collision import DestructiveCollision
 from repro.sim.engine import RunResult, build_engine
 from repro.sim.protocol import Protocol
 from repro.sim.rng import derive_rng
@@ -89,12 +91,16 @@ def drive(seed: int, *, backend, network=None, probe=None, slots=None):
         result = engine.run(10_000, stop_when=AllInformed(protocols))
     else:
         result = engine.run(slots)
-    states = [
+    node_rng_states = [p.view.rng.getstate() for p in protocols]
+    return engine, result, cogcast_states(protocols), node_rng_states
+
+
+def cogcast_states(protocols):
+    """Every COGCAST node's epidemic state, for cross-backend comparison."""
+    return [
         (p.informed, p.parent, p.informed_slot, p.informed_label, p.message)
         for p in protocols
     ]
-    node_rng_states = [p.view.rng.getstate() for p in protocols]
-    return engine, result, states, node_rng_states
 
 
 @needs_numpy
@@ -444,6 +450,75 @@ class TestFallbackTransparency:
         assert not vec_engine.vector_engaged
         assert vec_result == exact_result
         assert list(trace_vector.events) == list(trace_exact.events)
+
+
+def never(_engine):
+    """A stop condition with no columnar form: forces the fallback."""
+    return False
+
+
+class SlotRecorder(SlotProbe):
+    """Records the slots it sees; aggregate-capable, so columnar runs engage."""
+
+    def __init__(self):
+        self.slots = []
+
+    def on_slot_begin(self, slot):
+        self.slots.append(slot)
+
+    def on_vector_run(self, **aggregates):
+        pass
+
+
+@needs_numpy
+class TestFallbackEngineSync:
+    """The cached fallback engine runs on the vector engine's current state.
+
+    The fallback :class:`~repro.sim.engine.Engine` is built on the first
+    fallback run and reused; attributes assigned between runs and the
+    slot counter a columnar run advances must still reach it.
+    """
+
+    @pytest.mark.parametrize("backend", ["vector", "vector-replay"])
+    @pytest.mark.parametrize("attribute", ["slot", "trace", "jammer", "collision"])
+    def test_fallback_sees_current_state(self, attribute, backend):
+        assert self.scenario(attribute, backend) == self.scenario(attribute, "exact")
+
+    def scenario(self, attribute, backend):
+        """Fallback run, then *attribute* changes, then a fallback run."""
+        network = make_network(5, n=16)
+        recorder = SlotRecorder()
+        engine = build_engine(
+            network, cogcast_factory, seed=5, probe=recorder, backend=backend
+        )
+        protocols = engine.protocols
+
+        def everyone_informed(_engine):
+            return all(p.informed for p in protocols)
+
+        if attribute == "slot":
+            # Finish the broadcast on the fallback, then advance the
+            # slot counter columnar: with every node informed, the
+            # population's state no longer depends on the RNG mode.
+            engine.run(400, stop_when=everyone_informed)
+            engine.run(2)
+            max_slots, stop_when = 3, never
+        else:
+            engine.run(2, stop_when=never)
+            if attribute == "trace":
+                engine.trace = EventTrace()
+            elif attribute == "jammer":
+                universe = sorted(network.assignment_at(0).universe)
+                engine.jammer = RandomJammer(
+                    universe, len(universe), random.Random(0)
+                )
+            else:
+                engine.collision = DestructiveCollision()
+            max_slots, stop_when = 400, everyone_informed
+        recorder.slots.clear()
+        result = engine.run(max_slots, stop_when=stop_when)
+        events = None if engine.trace is None else list(engine.trace.events)
+        return result, cogcast_states(protocols), recorder.slots, events
 
 
 def _reference_table(labels, n, c):

@@ -311,7 +311,7 @@ class TestR4ProtocolIsolation:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs.probes import CountersProbe
+            from repro.obs.metrics import MetricsProbe
             from repro.sim.protocol import Protocol
 
             class Watching(Protocol):
@@ -1572,7 +1572,7 @@ class TestExplainAndEffects:
         out = capsys.readouterr().out
         assert "repro.sim.engine:Engine.run" in out
         assert "rng" in out
-        assert "perf-counter" in out
+        assert "perf-counter" not in out
 
     def test_effects_unknown_function_exits_two(self, capsys):
         assert (

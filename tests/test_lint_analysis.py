@@ -349,11 +349,10 @@ class TestShippedSources:
             module for module in modules if isinstance(module, ModuleContext)
         )
 
-    def test_engine_run_signature_is_rng_and_perf_counter(self):
+    def test_engine_run_signature_is_rng_only(self):
         project = self.build()
         signature = project.effects.signature("repro.sim.engine:Engine.run")
-        assert EFFECT_RNG in signature
-        assert signature <= {EFFECT_RNG, "perf-counter"}
+        assert signature == {EFFECT_RNG}
 
     def test_experiment_measures_are_parallel_pure(self):
         from repro.lint.analysis import IMPURE_EFFECTS

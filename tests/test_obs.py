@@ -1,11 +1,11 @@
-"""Tests for repro.obs — probes, aggregators, profiler, telemetry.
+"""Tests for repro.obs — probes, aggregators, telemetry.
 
-The load-bearing guarantee is probe/trace parity: a
-:class:`~repro.obs.probes.CountersProbe` attached to a run must produce
-*exactly* the :class:`~repro.sim.metrics.TraceMetrics` that analysing a
-full :class:`~repro.sim.trace.EventTrace` of the same seeded run does,
-and a :class:`~repro.obs.metrics.MetricsRegistry` the same counts,
-including under jamming and under the destructive collision model.
+The load-bearing guarantee is probe/trace parity: the
+:class:`~repro.obs.metrics.MetricsRegistry` a run's
+:class:`~repro.obs.metrics.MetricsProbe` feeds must hold *exactly* the
+counts of :func:`~repro.sim.metrics.compute_metrics` over a full
+:class:`~repro.sim.trace.EventTrace` of the same seeded run, including
+under jamming and under the destructive collision model.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from repro.baselines.runners import (
 from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
 from repro.obs import (
     ActivityProbe,
-    CountersProbe,
     FixedHistogram,
-    HistogramProbe,
+    MetricsProbe,
     MetricsRegistry,
     MultiProbe,
-    Profiler,
     ProtocolProbe,
     SlotProbe,
+    SpanProbe,
     StreamingStat,
     TelemetryError,
     TelemetrySink,
@@ -58,6 +57,25 @@ from repro.sim.trace import EventTrace
 def small_network(n=16, c=8, k=2, seed=3) -> Network:
     rng = derive_rng(seed, "test-obs-network")
     return Network.static(shared_core(n, c, k, rng).shuffled_labels(rng))
+
+
+#: Registry instrument -> the compute_metrics field it must equal.
+METRIC_FIELDS = (
+    ("sim_slots", "slots_observed"),
+    ("sim_broadcasts", "transmissions"),
+    ("sim_collisions", "collisions"),
+    ("sim_deliveries", "deliveries"),
+    ("sim_wasted_listens", "wasted_listens"),
+    ("sim_peak_contention", "peak_channel_contention"),
+)
+
+
+def assert_registry_matches(registry, expected, protocol="cogcast"):
+    """*registry*'s channel counts equal *expected* (a TraceMetrics)."""
+    instruments = registry.instruments()
+    for name, field in METRIC_FIELDS:
+        value = instruments[name].value(protocol=protocol)
+        assert value == getattr(expected, field), name
 
 
 class TestStreamingStat:
@@ -160,61 +178,49 @@ class TestFixedHistogram:
 
 
 class TestProbeTraceParity:
-    """CountersProbe and MetricsProbe must reproduce compute_metrics exactly."""
+    """MetricsProbe must reproduce compute_metrics exactly."""
 
     def assert_parity(self, **run_kwargs):
         network = run_kwargs.pop("network", small_network())
         trace = EventTrace()
-        counters = CountersProbe()
         registry = MetricsRegistry()
         result = run_local_broadcast(
             network,
             seed=11,
             max_slots=5000,
             trace=trace,
-            probe=counters,
             metrics=registry,
             **run_kwargs,
         )
         expected = compute_metrics(trace)
-        assert expected == counters.metrics()
-        instruments = registry.instruments()
-        for name, field in (
-            ("sim_broadcasts", "transmissions"),
-            ("sim_collisions", "collisions"),
-            ("sim_deliveries", "deliveries"),
-            ("sim_wasted_listens", "wasted_listens"),
-            ("sim_peak_contention", "peak_channel_contention"),
-        ):
-            value = instruments[name].value(protocol="cogcast")
-            assert value == getattr(expected, field), name
-        return result, counters
+        assert_registry_matches(registry, expected)
+        return result, expected
 
     def test_clean_run(self):
-        result, counters = self.assert_parity()
+        result, expected = self.assert_parity()
         assert result.completed
-        assert counters.successes > 0
+        assert expected.successes > 0
 
     def test_jammed_run(self):
         network = small_network()
         universe = sorted(network.assignment_at(0).universe)
         jammer = RandomJammer(universe, 3, derive_rng(9, "test-obs-jam"))
-        _, counters = self.assert_parity(network=network, jammer=jammer)
+        _, expected = self.assert_parity(network=network, jammer=jammer)
         # A random jammer at this budget reliably burns some listens.
-        assert counters.wasted_listens > 0
+        assert expected.wasted_listens > 0
 
     def test_destructive_collisions(self):
-        _, counters = self.assert_parity(collision=DestructiveCollision())
+        _, expected = self.assert_parity(collision=DestructiveCollision())
         # Destructive contention is exactly the undelivered-contended case.
-        assert counters.undelivered_contended == counters.collisions
+        assert expected.undelivered_contended == expected.collisions
 
     def test_probe_without_trace_matches_trace_only_run(self):
         network = small_network()
-        counters = CountersProbe()
-        run_local_broadcast(network, seed=11, max_slots=5000, probe=counters)
+        registry = MetricsRegistry()
+        run_local_broadcast(network, seed=11, max_slots=5000, metrics=registry)
         trace = EventTrace()
         run_local_broadcast(network, seed=11, max_slots=5000, trace=trace)
-        assert counters.metrics() == compute_metrics(trace)
+        assert_registry_matches(registry, compute_metrics(trace))
 
     def test_probe_does_not_perturb_run(self):
         network = small_network()
@@ -223,38 +229,14 @@ class TestProbeTraceParity:
             network,
             seed=11,
             max_slots=5000,
-            probe=MultiProbe([CountersProbe(), HistogramProbe(), ActivityProbe()]),
-            profiler=Profiler(),
+            probe=MultiProbe([ActivityProbe(), SpanProbe()]),
+            metrics=MetricsRegistry(),
         )
         assert (bare.slots, bare.completed, bare.informed_slots) == (
             probed.slots,
             probed.completed,
             probed.informed_slots,
         )
-
-
-class TestHistogramProbe:
-    def test_latency_counts_first_deliveries(self):
-        network = small_network()
-        hist = HistogramProbe()
-        result = run_local_broadcast(network, seed=4, max_slots=5000, probe=hist)
-        assert result.completed
-        # Every node except the source first hears at some slot.
-        assert hist.nodes_heard == network.num_nodes - 1
-        assert hist.latency.total == hist.nodes_heard
-
-    def test_contention_distribution(self):
-        hist = HistogramProbe(contention_buckets=4)
-        run_local_broadcast(small_network(), seed=4, max_slots=5000, probe=hist)
-        assert hist.contention.total > 0
-        assert hist.contention_stat.count == hist.contention.total
-        assert hist.contention_stat.minimum >= 1
-
-    def test_as_dict_json_ready(self):
-        hist = HistogramProbe()
-        run_local_broadcast(small_network(), seed=4, max_slots=5000, probe=hist)
-        snapshot = json.loads(json.dumps(hist.as_dict()))
-        assert snapshot["nodes_heard"] == hist.nodes_heard
 
 
 class TestActivityProbe:
@@ -276,12 +258,21 @@ class TestActivityProbe:
 
 class TestMultiProbe:
     def test_fans_out_to_all_children(self):
-        counters, hist = CountersProbe(), HistogramProbe()
-        multi = MultiProbe([counters, hist])
+        class SlotCounter(SlotProbe):
+            slots = 0
+
+            def on_slot_end(self, slot, active):
+                self.slots += 1
+
+        registry, counter = MetricsRegistry(), SlotCounter()
+        multi = MultiProbe([MetricsProbe(registry, protocol="cogcast"), counter])
         assert not multi.observes_nodes
-        run_local_broadcast(small_network(), seed=11, max_slots=5000, probe=multi)
-        assert counters.successes > 0
-        assert hist.contention.total > 0
+        result = run_local_broadcast(
+            small_network(), seed=11, max_slots=5000, probe=multi
+        )
+        assert counter.slots == result.slots
+        broadcasts = registry.instruments()["sim_broadcasts"]
+        assert broadcasts.value(protocol="cogcast") > 0
 
     def test_node_hooks_only_reach_node_observers(self):
         class CountingSlotProbe(SlotProbe):
@@ -336,15 +327,20 @@ class TestMultiProbe:
     def test_parity_through_multiprobe(self):
         network = small_network()
         trace = EventTrace()
-        counters = CountersProbe()
+        registry, activity = MetricsRegistry(), ActivityProbe()
         run_local_broadcast(
             network,
             seed=11,
             max_slots=5000,
             trace=trace,
-            probe=MultiProbe([counters, ActivityProbe()]),
+            probe=MultiProbe([MetricsProbe(registry, protocol="cogcast"), activity]),
         )
-        assert compute_metrics(trace) == counters.metrics()
+        expected = compute_metrics(trace)
+        assert_registry_matches(registry, expected)
+        # Unjammed: every broadcast is a transmission, every win a success.
+        totals = activity.as_dict()
+        assert totals["broadcast_slots"] == expected.transmissions
+        assert totals["win_slots"] == expected.successes
 
 
 class TestAttach:
@@ -410,40 +406,6 @@ class TestAttach:
         assert probe.events[-1] == ("end", result.slots)
 
 
-class TestProfiler:
-    def test_engine_sections_populated(self):
-        profiler = Profiler()
-        run_local_broadcast(
-            small_network(), seed=4, max_slots=5000, profiler=profiler
-        )
-        sections = profiler.sections()
-        assert set(sections) == {"engine.collect", "engine.resolve", "engine.deliver"}
-        assert all(stat.calls > 0 for stat in sections.values())
-        assert all(stat.seconds >= 0 for stat in sections.values())
-
-    def test_section_context_manager(self):
-        profiler = Profiler()
-        with profiler.section("setup"):
-            pass
-        assert profiler.sections()["setup"].calls == 1
-
-    def test_report_and_reset(self):
-        profiler = Profiler()
-        profiler.add("alpha", 0.25)
-        profiler.add("alpha", 0.25)
-        profiler.add("beta", 0.5)
-        report = profiler.report()
-        assert "alpha" in report and "beta" in report
-        assert math.isclose(profiler.total_seconds, 1.0)
-        profiler.reset()
-        assert profiler.report() == "(no sections profiled)"
-
-    def test_as_dict_shape(self):
-        profiler = Profiler()
-        profiler.add("phase", 0.125)
-        assert profiler.as_dict() == {"phase": {"seconds": 0.125, "calls": 1}}
-
-
 class TestTelemetryRecords:
     def test_run_record_valid(self):
         network = small_network()
@@ -458,51 +420,35 @@ class TestTelemetryRecords:
         assert record["n"] == network.num_nodes
         assert record["universe"] == len(network.assignment_at(0).universe)
 
-    def test_run_record_attaches_probe_and_profiler(self):
-        counters, profiler = CountersProbe(), Profiler()
-        run_local_broadcast(
-            small_network(),
-            seed=7,
-            max_slots=5000,
-            probe=counters,
-            profiler=profiler,
-        )
+    def test_run_record_attaches_probe_counters_and_build_timing(self):
+        activity = ActivityProbe()
+        run_local_broadcast(small_network(), seed=7, max_slots=5000, probe=activity)
         record = run_record(
             protocol="cogcast",
             seed=7,
             network=small_network(),
             slots=10,
             outcome="completed",
-            probe=counters,
-            profiler=profiler,
+            probe=activity,
+            build_s=0.25,
         )
         assert validate_record(record) == []
-        assert record["counters"]["successes"] == counters.successes
-        assert "engine.resolve" in record["timings"]
+        assert record["counters"] == activity.as_dict()
+        assert record["timings"] == {"build": {"seconds": 0.25, "calls": 1}}
 
-    def test_records_embed_span_summaries_and_profiler_timings(self):
-        from repro.obs import SpanProbe
-
-        profiler, spans = Profiler(), SpanProbe()
-        run_data_aggregation(
-            small_network(),
-            [1.0] * 16,
-            seed=3,
-            spans=spans,
-            profiler=profiler,
-        )
+    def test_records_embed_span_summaries(self):
+        spans = SpanProbe()
+        run_data_aggregation(small_network(), [1.0] * 16, seed=3, spans=spans)
         record = run_record(
             protocol="cogcomp",
             seed=3,
             network=small_network(),
             slots=10,
             outcome="completed",
-            profiler=profiler,
             spans=spans,
         )
         assert validate_record(record) == []
         assert record["spans"] == spans.summary()
-        assert record["timings"] == profiler.as_dict()
 
         experiment = experiment_record(
             experiment_id="E01",
@@ -511,12 +457,10 @@ class TestTelemetryRecords:
             fast=True,
             elapsed_s=0.1,
             rows=1,
-            profiler=profiler,
             spans=spans,
         )
         assert validate_record(experiment) == []
         assert experiment["spans"]["informed"] == len(spans.informed)
-        assert experiment["timings"] == profiler.as_dict()
 
     def test_run_record_extra_cannot_shadow(self):
         with pytest.raises(TelemetryError):
@@ -698,6 +642,7 @@ def assert_execution_paths(records, backend):
         metrics = record.get("metrics")
         assert record["backend"] == backend
         assert isinstance(record["elapsed_s"], float) and record["elapsed_s"] >= 0
+        assert_build_timing(record)
         vector_reason = None if backend == "exact" else VECTOR_FALLBACK[protocol]
         columnar = backend != "exact" and vector_reason is None
         assert record.get("vector_fallback_reason") == vector_reason
@@ -711,7 +656,41 @@ def assert_execution_paths(records, backend):
             assert series == {"labels": [protocol], "value": 1.0}
 
 
+def assert_build_timing(record):
+    """*record* carries exactly one timed section: the engine build."""
+    (section,) = record["timings"].items()
+    assert section[0] == "build"
+    assert section[1]["calls"] == 1
+    assert isinstance(section[1]["seconds"], float) and section[1]["seconds"] >= 0
+
+
 class TestRunnerTelemetry:
+    @pytest.mark.parametrize("backend", ["exact", "vector", "vector-replay"])
+    def test_run_records_carry_build_timing(self, backend):
+        from repro.sanitize import _normalize_telemetry
+
+        network = small_network()
+        handle = io.StringIO()
+        sink = TelemetrySink(handle)
+        run_local_broadcast(
+            network, seed=1, max_slots=5000, telemetry=sink, backend=backend
+        )
+        run_stay_and_scan_broadcast(network, seed=1, telemetry=sink, backend=backend)
+        records = [json.loads(line) for line in handle.getvalue().splitlines()]
+        assert [record["protocol"] for record in records] == [
+            "cogcast",
+            "stay-and-scan",
+        ]
+        for record in records:
+            assert validate_record(record) == []
+            assert_build_timing(record)
+            # The sanitizer's capture drops timings with the other
+            # volatile fields before it bit-diffs two runs.
+            normalized = _normalize_telemetry(record)
+            assert "timings" not in normalized
+            assert "elapsed_s" not in normalized
+            assert normalized["slots"] == record["slots"]
+
     @pytest.mark.parametrize("backend", ["exact", "vector-replay"])
     def test_core_runners_emit_manifests(self, backend):
         network = small_network()

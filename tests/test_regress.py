@@ -342,6 +342,7 @@ class TestCollectSeries:
         scope = "run/cogcast"
         assert klasses[(scope, "slots")] == "protocol"
         assert klasses[(scope, "elapsed_s")] == "timing"
+        assert klasses[(scope, "timings.build.seconds")] == "timing"
         resource_keys = [
             key for key in klasses if key[1].startswith("resources.")
         ]

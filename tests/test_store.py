@@ -562,6 +562,18 @@ class TestMergeDedupe:
             merged = merge_telemetry([shard, shard], sink, dedupe=True)
         assert merged == total  # every distinct record exactly once
 
+    def test_records_differing_only_in_timings_dedupe(self, tmp_path):
+        shard = tmp_path / "worker0.jsonl"
+        (record,) = _write_runs(shard, seeds=(0,))
+        assert record["timings"]["build"]["calls"] == 1
+        rerun = tmp_path / "worker1.jsonl"
+        with TelemetrySink(rerun) as sink:
+            sink.emit({**record, "timings": {"build": {"seconds": 9.0, "calls": 1}}})
+        merged_path = tmp_path / "merged.jsonl"
+        with TelemetrySink(merged_path) as sink:
+            assert merge_telemetry([shard, rerun], sink, dedupe=True) == 1
+        assert read_telemetry(merged_path) == [record]
+
     def test_dedupe_off_keeps_duplicates(self, tmp_path):
         shard = tmp_path / "worker0.jsonl"
         _write_runs(shard, seeds=(0,))
