@@ -7,7 +7,7 @@
 PYTHON ?= python
 JOBS ?= 1
 
-.PHONY: install test lint lint-all lint-baseline bench bench-save bench-check perfbench-test sanitize experiments report examples obs-demo trace-demo metrics-demo vector-demo store-demo all
+.PHONY: install test lint lint-all lint-baseline bench perfbench-test sanitize experiments report examples obs-demo trace-demo metrics-demo vector-demo store-demo all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -33,17 +33,6 @@ lint-baseline:
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Record one benchmark datapoint in the perf trajectory (BENCH_*.json).
-bench-save:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only \
-		--benchmark-json=BENCH_$$(date +%Y%m%d).json
-
-# Gate the newest BENCH_*.json datapoint against the rest of the
-# trajectory (warn-only until the history has 3 comparable datapoints).
-bench-check:
-	PYTHONPATH=src $(PYTHON) -m repro bench check --history 'BENCH_*.json' \
-		--report bench_report.json
 
 # Tests of the repository benchmark (perfbench/, see BENCHMARK.json):
 # tiny runs of every workload, traced and untraced, so a renamed or

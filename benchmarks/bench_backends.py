@@ -4,11 +4,10 @@
 SAME workload — one seeded, uninstrumented, static-assignment COGCAST
 run at ``n = 10^4`` driven to completion — through the exact engine's
 fast path and through the numpy columnar kernel; the ratio of their
-means is the vector speedup recorded in ``BENCH_*.json`` (acceptance
-floor: 10x).  ``test_backend_vector_n*`` sweep the columnar kernel from
-``n = 10^2`` to ``n = 10^5`` so the trajectory shows how the speedup
-scales with population size.  Engine construction happens in untimed
-setup, so the numbers isolate ``run()``.
+means is the vector speedup.  ``test_backend_vector_n*`` sweep the
+columnar kernel from ``n = 10^2`` to ``n = 10^5`` to show how the
+speedup scales with population size.  Engine construction happens in
+untimed setup, so the numbers isolate ``run()``.
 
 The vector benchmarks skip cleanly when numpy is not installed (the
 ``perf`` extra); the exact benchmarks always run.

@@ -5,8 +5,8 @@ into after every sweep, so these benchmarks time
 :meth:`repro.obs.store.RunStore.ingest` and
 :func:`repro.obs.query.run_query` at 10^4 synthetic run records —
 distinct (config hash, seed) pairs across four protocol/size configs.
-A regression shows up through ``repro bench check`` exactly like the
-engine benchmarks.
+Speed comparisons between commits of the store's ingest and query use
+the repository benchmark (``perfbench``, workload ``trials-observed``).
 """
 
 from __future__ import annotations

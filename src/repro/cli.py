@@ -9,7 +9,6 @@ Usage::
     repro-experiments obs validate|summary|tail|anomalies telemetry.jsonl [...]
     repro-experiments obs diff A.jsonl B.jsonl
     repro-experiments obs export-trace --protocol cogcomp -o trace.json
-    repro-experiments bench check [CANDIDATE.json] --history 'BENCH_*.json'
     repro-experiments sanitize E01 [--fast] [--checks hashseed,jobs,backend]
 
 (Equivalently ``python -m repro ...``.  ``lint`` is also installed as
@@ -42,6 +41,7 @@ def _version_string() -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse CLI (list / run / report subcommands)."""
+    from repro.obs.cli import _non_negative, _positive
     from repro.sim.backends import BACKEND_NAMES
 
     parser = argparse.ArgumentParser(
@@ -63,14 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one experiment or 'all'")
     run_parser.add_argument("experiment", help="experiment id (e.g. E01) or 'all'")
-    run_parser.add_argument("--trials", type=int, default=None, help="trials per row")
+    run_parser.add_argument(
+        "--trials", type=_positive, default=None, help="trials per row"
+    )
     run_parser.add_argument("--seed", type=int, default=0, help="root seed")
     run_parser.add_argument(
         "--fast", action="store_true", help="shrunken sweeps (CI-sized)"
     )
     run_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative,
         default=1,
         metavar="N",
         help="worker processes for trial loops (0 = all cores); results "
@@ -97,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--output", default="experiments_report.md", help="report file path"
     )
-    report_parser.add_argument("--trials", type=int, default=None)
+    report_parser.add_argument("--trials", type=_positive, default=None)
     report_parser.add_argument("--seed", type=int, default=0)
     report_parser.add_argument("--fast", action="store_true")
     report_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative,
         default=1,
         metavar="N",
         help="worker processes for trial loops (0 = all cores); results "
@@ -125,47 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.obs.cli import add_subcommands as add_obs_subcommands
 
     add_obs_subcommands(obs_parser.add_subparsers(dest="obs_command", required=True))
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="benchmark-trajectory tools (regression gating)"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-    check = bench_sub.add_parser(
-        "check",
-        help="fit per-benchmark baselines from BENCH history; "
-        "exit 1 on CI-backed regression",
-    )
-    check.add_argument(
-        "candidate",
-        nargs="?",
-        default=None,
-        help="candidate datapoint (default: newest history datapoint)",
-    )
-    check.add_argument(
-        "--history",
-        action="append",
-        default=None,
-        metavar="GLOB",
-        help="history datapoint files/globs (default: BENCH_*.json); repeatable",
-    )
-    check.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="allowed slowdown beyond the baseline CI (default: 0.25 = 25%%)",
-    )
-    check.add_argument(
-        "--min-history",
-        type=int,
-        default=3,
-        help="comparable datapoints needed to gate; fewer = warn-only",
-    )
-    check.add_argument(
-        "--report", default=None, metavar="FILE", help="write the JSON report to FILE"
-    )
-    check.add_argument(
-        "--json", action="store_true", help="print the JSON report instead of text"
-    )
 
     sanitize_parser = subparsers.add_parser(
         "sanitize",
@@ -318,17 +279,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.obs import cli as obs_cli
 
         return obs_cli.dispatch(args)
-    if args.command == "bench":
-        from repro.obs.regress import bench_check
-
-        return bench_check(
-            args.candidate,
-            args.history if args.history else ["BENCH_*.json"],
-            threshold=args.threshold,
-            min_history=args.min_history,
-            report_path=args.report,
-            as_json=args.json,
-        )
     return 2
 
 

@@ -126,9 +126,8 @@ class Campaign:
         (protocol category — deterministic in ``(grid, seed)``), and a
         timing-category per-point elapsed histogram.  Each
         ``kind="campaign"`` record embeds the registry snapshot as of
-        that point, so shards merged by
-        :func:`repro.perf.merge_telemetry` stay individually
-        attributable.
+        that point.  Workers return values and the parent merges them
+        and emits every record, so no worker writes telemetry.
 
         *backend* names the engine backend (``"exact"``, ``"vector"``,
         ...) the measure function's runs should use; it is installed as

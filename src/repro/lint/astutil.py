@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -21,25 +20,6 @@ def dotted_name(node: ast.expr) -> str | None:
         return None
     parts.append(current.id)
     return ".".join(reversed(parts))
-
-
-def call_name(node: ast.Call) -> str | None:
-    """The dotted name a call targets, or ``None`` for computed callees."""
-    return dotted_name(node.func)
-
-
-def walk_scopes(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.Module | ast.FunctionDef | ast.AsyncFunctionDef, list[ast.stmt]]]:
-    """Yield (scope node, body) for the module and every function in it.
-
-    Class bodies are not scopes of their own here: statements directly in
-    a class body are rare and tracked conservatively by callers.
-    """
-    yield tree, tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
 
 
 def is_name(node: ast.expr, *names: str) -> bool:

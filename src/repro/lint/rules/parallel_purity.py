@@ -22,9 +22,9 @@ to the line that introduces the effect.
 
 Fix it by: deriving all randomness from the trial's seed argument
 (``repro.sim.rng.derive_rng``), returning data instead of mutating
-module state (merge after the map), and moving I/O (telemetry,
-persistence) to the harness side of the fan-out —
-``repro.perf.merge_telemetry`` exists exactly for that.  Seeded draws
+module state, and moving I/O (telemetry, persistence) to the harness
+side of the fan-out: workers return values and the parent merges and
+emits them after the map.  Seeded draws
 (``rng``) and monotonic timing (``perf-counter``) are allowed.
 Lambdas are skipped: they are unpicklable, so the executor already
 falls back to in-process serial execution for them.

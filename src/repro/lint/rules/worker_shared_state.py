@@ -23,9 +23,9 @@ names captured only inside ``lambda`` bodies are skipped — lambdas are
 unpicklable, so the executor already runs them serially in-process.
 
 Fix it by passing plain data derived from the seed (ints, tuples,
-frozen specs) and merging worker *results* after the map —
-``repro.perf.merge_telemetry`` and ``MetricsRegistry.merge`` exist
-exactly so workers can return snapshots instead of sharing a sink.
+frozen specs): workers return values (results, registry snapshots)
+and the parent merges them after the map (``MetricsRegistry.merge``)
+and emits telemetry itself, so no worker shares a sink.
 The runtime counterpart is ``repro sanitize`` with the ``jobs``
 perturbation: captured shared state shows up as a ``jobs=1`` vs
 ``jobs=N`` bit-diff.

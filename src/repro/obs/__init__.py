@@ -46,11 +46,9 @@ constant-memory alternative:
   (:func:`render_prometheus`), an engine-hook feeder
   (:class:`MetricsProbe`), and a :class:`ResourceSampler` (RSS, CPU
   time, GC) whose deltas ride on run records.
-- **Regression plane** (:mod:`repro.obs.regress`) — ``repro obs diff``
+- **Telemetry diff** (:mod:`repro.obs.regress`) — ``repro obs diff``
   compares two telemetry files per metric (protocol-class series must
-  match; timing-class series are reported with bootstrap CIs), and
-  ``repro bench check`` gates the BENCH_*.json trajectory with
-  machine-fingerprinted, CI-backed per-benchmark baselines.
+  match; timing-class series are reported with bootstrap CIs).
 - **Run store & queries** (:mod:`repro.obs.provenance`,
   :mod:`repro.obs.store`, :mod:`repro.obs.query`) — every record is
   stamped with a provenance block (canonical config hash + code

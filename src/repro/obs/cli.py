@@ -18,11 +18,10 @@ Usage (also installed as the standalone ``repro-obs`` console script)::
     repro-obs explain telemetry.jsonl [--rule slot-budget]  # anomaly root cause
 
 File arguments are shell-glob expanded here too (quote them to defer
-to this expansion), so campaign shards like ``telemetry.worker*.jsonl``
-summarize as one stream.  ``diff`` classes every series as protocol
-(deterministic; any real difference is *significant* and fails the
-diff) or timing (reported, never significant) — see
-:mod:`repro.obs.regress`.
+to this expansion), so shards like ``shard*.jsonl`` summarize as one
+stream.  ``diff`` classes every series as protocol (deterministic; any
+real difference is *significant* and fails the diff) or timing
+(reported, never significant) — see :mod:`repro.obs.regress`.
 
 ``export-trace`` runs one seeded protocol with a
 :class:`~repro.obs.spans.SpanProbe` attached and writes the resulting
@@ -62,6 +61,14 @@ def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    """An argparse type: a positive integer (usage error otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 

@@ -22,8 +22,9 @@ threads), and across processes nothing is shared — each
 a :meth:`~MetricsRegistry.snapshot`, and the parent folds the
 snapshots with :meth:`~MetricsRegistry.merge` /
 :func:`merge_snapshots` in worker-index order, so the consolidated
-values are identical at any worker count (see
-:func:`repro.perf.merge.merged_metrics`).
+values are identical at any worker count.  Snapshots embedded in
+separate telemetry files merge the same way (``repro obs summary
+--metrics 'shard*.jsonl'``).
 
 Every instrument carries a ``category`` — ``"protocol"`` (a
 deterministic function of ``(config, seed)``: slots, collisions,

@@ -1,35 +1,22 @@
-"""Cross-run diffing and benchmark-regression gating.
+"""Cross-run telemetry diffing (``repro obs diff A.jsonl B.jsonl``).
 
-Two complementary comparison planes for the campaign era:
+Load two telemetry files, align their records into named metric
+series, and report a structured per-metric delta.  Series are classed
+as *protocol* (deterministic functions of ``(config, seed)``: slots,
+counters, span critical paths, protocol-category registry metrics) or
+*timing* (``elapsed_s``, ``timings.build``, resources, timing-category
+metrics).  Protocol series must match — a difference is *significant*
+(bit-inequality for single runs, bootstrap-CI-backed for trial-level
+samples via :mod:`repro.analysis.bootstrap`); timing series are
+reported with ratios and CIs but never fail the diff, because wall
+time legitimately varies run to run.  Two runs of the same config/seed
+therefore diff clean, and a fast-path-on vs fast-path-off pair shows
+identical protocol metrics with differing timing metrics — the
+bit-identity contract of ``docs/performance.md``, checkable from
+telemetry alone.
 
-1. **Telemetry diff** (``repro obs diff A.jsonl B.jsonl``) — load two
-   telemetry files, align their records into named metric series, and
-   report a structured per-metric delta.  Series are classed as
-   *protocol* (deterministic functions of ``(config, seed)``: slots,
-   counters, span critical paths, protocol-category registry metrics)
-   or *timing* (``elapsed_s``, ``timings.build``, resources,
-   timing-category metrics).  Protocol series must match — a
-   difference is *significant* (bit-inequality for single runs,
-   bootstrap-CI-backed for trial-level samples via
-   :mod:`repro.analysis.bootstrap`); timing series are reported with
-   ratios and CIs but never fail the diff, because wall time
-   legitimately varies run to run.  Two runs of the same config/seed
-   therefore diff clean, and a fast-path-on vs fast-path-off pair
-   shows identical protocol metrics with differing timing metrics —
-   the bit-identity contract of ``docs/performance.md``, now checkable
-   from telemetry alone.
-
-2. **Benchmark trajectory gating** (``repro bench check``) — one
-   versioned loader for every ``BENCH_*.json`` datapoint (CI's
-   ``BENCH_ci.json`` and ``make bench-save`` files share the raw
-   pytest-benchmark format; the loader normalizes both), a
-   machine fingerprint so cross-machine datapoints are *flagged, not
-   silently compared*, and a per-benchmark baseline fit (median of
-   same-machine history with a bootstrap CI) that turns the so-far
-   write-only BENCH history into a regression gate: a candidate mean
-   beyond the CI-backed threshold exits non-zero.  With fewer than
-   ``min_history`` comparable datapoints the check is warn-only — a
-   young trajectory should nag, not block.
+Speed comparisons between code versions belong to the repository
+benchmark (``perfbench/``), which pairs runs on one machine.
 
 Everything here is analysis-side and stdlib-only; nothing imports the
 engine.
@@ -40,12 +27,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from repro.analysis.bootstrap import BootstrapCI, bootstrap_ci, speedup_ci
-
-#: Version of the normalized benchmark-datapoint schema.
-BENCH_SCHEMA_VERSION = 1
+from repro.analysis.bootstrap import BootstrapCI, speedup_ci
 
 #: Run-record fields whose values are timing-class (vary run to run).
 _TIMING_FIELDS = ("elapsed_s",)
@@ -71,15 +55,6 @@ _CONFIG_FIELDS = frozenset(
         "message",
     }
 )
-
-
-class RegressError(ValueError):
-    """A malformed benchmark datapoint or comparison input."""
-
-
-# ----------------------------------------------------------------------
-# Telemetry diffing
-# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -429,423 +404,3 @@ def diff_files(
         resamples=resamples,
         seed=seed,
     )
-
-
-# ----------------------------------------------------------------------
-# Benchmark datapoints: one loader, one schema, a fingerprint
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchStats:
-    """The per-benchmark numbers the regression gate consumes."""
-
-    mean: float
-    stddev: float
-    median: float
-    rounds: int
-    minimum: float
-
-    def as_dict(self) -> dict[str, float | int]:
-        """JSON-ready form (normalized schema ``benchmarks`` values)."""
-        return {
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "median": self.median,
-            "rounds": self.rounds,
-            "min": self.minimum,
-        }
-
-
-@dataclass(frozen=True)
-class BenchDatapoint:
-    """One normalized benchmark datapoint (one BENCH_*.json file)."""
-
-    source: str
-    label: str
-    schema_version: int
-    fingerprint: Mapping[str, str]
-    stats: Mapping[str, BenchStats]
-
-    def fingerprint_key(self) -> str:
-        """A stable one-line machine identity for comparability checks."""
-        return "|".join(
-            f"{key}={self.fingerprint[key]}" for key in sorted(self.fingerprint)
-        )
-
-    def as_dict(self) -> dict[str, Any]:
-        """The normalized, versioned on-disk schema."""
-        return {
-            "bench_schema": self.schema_version,
-            "label": self.label,
-            "fingerprint": dict(self.fingerprint),
-            "benchmarks": {
-                name: self.stats[name].as_dict() for name in sorted(self.stats)
-            },
-        }
-
-
-def machine_fingerprint(machine_info: Mapping[str, Any]) -> dict[str, str]:
-    """Normalize pytest-benchmark ``machine_info`` to a comparable identity.
-
-    Keeps only the fields that determine whether two datapoints'
-    absolute times are comparable — architecture, CPU model and count,
-    Python implementation/version — and normalizes missing values to
-    ``"unknown"`` so hand-built datapoints still fingerprint.
-    """
-    cpu = machine_info.get("cpu") or {}
-
-    def pick(*path: str) -> str:
-        value: Any = machine_info
-        for part in path:
-            if not isinstance(value, Mapping):
-                return "unknown"
-            value = value.get(part)
-        return str(value) if value not in (None, "") else "unknown"
-
-    return {
-        "machine": pick("machine"),
-        "system": pick("system"),
-        "python": pick("python_version"),
-        "python_impl": pick("python_implementation"),
-        "cpu": str(cpu.get("brand_raw") or "unknown"),
-        "cpu_count": str(cpu.get("count") or "unknown"),
-    }
-
-
-def load_bench_datapoint(path: str | Path) -> BenchDatapoint:
-    """Load one datapoint, raw pytest-benchmark or normalized schema.
-
-    ``BENCH_ci.json`` (the CI benchmarks job) and ``BENCH_YYYYMMDD.json``
-    (``make bench-save``) are both raw pytest-benchmark dumps; files in
-    the normalized :data:`BENCH_SCHEMA_VERSION` form load too, so a
-    trajectory can mix the two.  Anything else raises
-    :class:`RegressError` naming the file.
-    """
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise RegressError(f"{path}: unreadable benchmark datapoint ({error})")
-    if not isinstance(data, dict):
-        raise RegressError(f"{path}: benchmark datapoint must be a JSON object")
-    if "bench_schema" in data:
-        if data["bench_schema"] != BENCH_SCHEMA_VERSION:
-            raise RegressError(
-                f"{path}: bench_schema {data['bench_schema']!r}, "
-                f"expected {BENCH_SCHEMA_VERSION}"
-            )
-        stats = {
-            name: BenchStats(
-                mean=float(entry["mean"]),
-                stddev=float(entry.get("stddev", 0.0)),
-                median=float(entry.get("median", entry["mean"])),
-                rounds=int(entry.get("rounds", 1)),
-                minimum=float(entry.get("min", entry["mean"])),
-            )
-            for name, entry in sorted(data.get("benchmarks", {}).items())
-        }
-        return BenchDatapoint(
-            source=str(path),
-            label=str(data.get("label", path.stem)),
-            schema_version=BENCH_SCHEMA_VERSION,
-            fingerprint=dict(data.get("fingerprint", {})),
-            stats=stats,
-        )
-    if "benchmarks" in data and "machine_info" in data:
-        stats = {}
-        for bench in data["benchmarks"]:
-            name = bench.get("fullname") or bench.get("name")
-            numbers = bench.get("stats") or {}
-            if name is None or "mean" not in numbers:
-                continue
-            stats[str(name)] = BenchStats(
-                mean=float(numbers["mean"]),
-                stddev=float(numbers.get("stddev", 0.0)),
-                median=float(numbers.get("median", numbers["mean"])),
-                rounds=int(numbers.get("rounds", 1)),
-                minimum=float(numbers.get("min", numbers["mean"])),
-            )
-        return BenchDatapoint(
-            source=str(path),
-            label=str(data.get("datetime") or path.stem),
-            schema_version=BENCH_SCHEMA_VERSION,
-            fingerprint=machine_fingerprint(data["machine_info"]),
-            stats=stats,
-        )
-    raise RegressError(
-        f"{path}: neither a pytest-benchmark dump nor a "
-        f"bench_schema={BENCH_SCHEMA_VERSION} datapoint"
-    )
-
-
-def load_bench_history(paths: Iterable[str | Path]) -> list[BenchDatapoint]:
-    """Load and label-sort a benchmark trajectory (oldest first)."""
-    datapoints = [load_bench_datapoint(path) for path in paths]
-    return sorted(datapoints, key=lambda d: (d.label, d.source))
-
-
-# ----------------------------------------------------------------------
-# Regression checking
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchVerdict:
-    """One benchmark's comparison against its fitted baseline."""
-
-    name: str
-    candidate_mean: float
-    baseline_mean: float | None
-    limit: float | None
-    ratio: float | None
-    history: int
-    verdict: str  # "ok" | "regression" | "improvement" | "new"
-
-
-@dataclass
-class BenchReport:
-    """The result of ``repro bench check``."""
-
-    candidate: str
-    history: int
-    comparable: int
-    warn_only: bool
-    threshold: float
-    verdicts: list[BenchVerdict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[BenchVerdict]:
-        """Benchmarks whose candidate mean exceeds the CI-backed limit."""
-        return [v for v in self.verdicts if v.verdict == "regression"]
-
-    @property
-    def exit_code(self) -> int:
-        """1 on confirmed regression (history permitting), else 0."""
-        return 1 if self.regressions and not self.warn_only else 0
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready report (the CI diff-report artifact)."""
-        return {
-            "candidate": self.candidate,
-            "history": self.history,
-            "comparable": self.comparable,
-            "warn_only": self.warn_only,
-            "threshold": self.threshold,
-            "regressions": len(self.regressions),
-            "warnings": list(self.warnings),
-            "benchmarks": [
-                {
-                    "name": v.name,
-                    "candidate_mean": v.candidate_mean,
-                    "baseline_mean": v.baseline_mean,
-                    "limit": v.limit,
-                    "ratio": v.ratio,
-                    "history": v.history,
-                    "verdict": v.verdict,
-                }
-                for v in self.verdicts
-            ],
-        }
-
-    def render(self) -> str:
-        """An aligned text report, regressions first."""
-        lines = [
-            f"bench check: {self.candidate} vs {self.comparable} comparable "
-            f"of {self.history} history datapoints "
-            f"(threshold {self.threshold:.0%}"
-            + (", warn-only)" if self.warn_only else ")")
-        ]
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        order = {"regression": 0, "improvement": 1, "new": 2, "ok": 3}
-        for v in sorted(self.verdicts, key=lambda v: (order[v.verdict], v.name)):
-            if v.baseline_mean is None:
-                lines.append(f"[{v.verdict:>10}] {v.name}: {v.candidate_mean:.6g}s")
-                continue
-            lines.append(
-                f"[{v.verdict:>10}] {v.name}: {v.candidate_mean:.6g}s "
-                f"vs baseline {v.baseline_mean:.6g}s "
-                f"(x{v.ratio:.2f}, limit {v.limit:.6g}s, n={v.history})"
-            )
-        lines.append(
-            f"summary: {len(self.regressions)} regressions, "
-            f"{sum(1 for v in self.verdicts if v.verdict == 'improvement')} "
-            f"improvements, {sum(1 for v in self.verdicts if v.verdict == 'new')} new"
-        )
-        return "\n".join(lines)
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2 == 1:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
-def check_regressions(
-    history: Sequence[BenchDatapoint],
-    candidate: BenchDatapoint,
-    *,
-    threshold: float = 0.25,
-    confidence: float = 0.95,
-    resamples: int = 1000,
-    min_history: int = 3,
-    seed: int = 0,
-) -> BenchReport:
-    """Fit per-benchmark baselines from *history* and judge *candidate*.
-
-    Only datapoints whose machine fingerprint matches the candidate's
-    participate in the baseline; mismatching datapoints are flagged in
-    ``warnings`` instead of silently skewing the fit.  The baseline is
-    the median of historical means; with ``min_history`` or more
-    comparable datapoints a percentile-bootstrap CI of that median
-    widens the limit, so noisy trajectories do not false-positive.  A
-    candidate mean above ``max(ci_high, baseline) * (1 + threshold)``
-    is a regression; below ``baseline / (1 + threshold)`` is an
-    improvement.  ``warn_only`` (history too thin) downgrades the exit
-    code but keeps the verdicts visible.
-    """
-    if threshold <= 0:
-        raise RegressError("threshold must be positive")
-    candidate_key = candidate.fingerprint_key()
-    comparable: list[BenchDatapoint] = []
-    report = BenchReport(
-        candidate=candidate.source,
-        history=0,
-        comparable=0,
-        warn_only=False,
-        threshold=threshold,
-    )
-    for datapoint in history:
-        if datapoint.source == candidate.source:
-            continue
-        report.history += 1
-        if datapoint.fingerprint_key() != candidate_key:
-            report.warnings.append(
-                f"{datapoint.source}: machine fingerprint differs from "
-                "candidate; excluded from the baseline "
-                f"({datapoint.fingerprint_key()} vs {candidate_key})"
-            )
-            continue
-        comparable.append(datapoint)
-    report.comparable = len(comparable)
-    if report.comparable < min_history:
-        report.warn_only = True
-        report.warnings.append(
-            f"only {report.comparable} comparable datapoints "
-            f"(need {min_history} to gate); reporting regressions as warnings"
-        )
-    for name in sorted(candidate.stats):
-        candidate_mean = candidate.stats[name].mean
-        historical = [
-            point.stats[name].mean for point in comparable if name in point.stats
-        ]
-        if not historical:
-            report.verdicts.append(
-                BenchVerdict(
-                    name=name,
-                    candidate_mean=candidate_mean,
-                    baseline_mean=None,
-                    limit=None,
-                    ratio=None,
-                    history=0,
-                    verdict="new",
-                )
-            )
-            continue
-        baseline = _median(historical)
-        ci_high = baseline
-        if len(historical) >= 3:
-            ci = bootstrap_ci(
-                historical,
-                _median,
-                confidence=confidence,
-                resamples=resamples,
-                seed=seed,
-            )
-            ci_high = max(ci.high, baseline)
-        limit = ci_high * (1.0 + threshold)
-        ratio = candidate_mean / baseline if baseline > 0 else None
-        if candidate_mean > limit:
-            verdict = "regression"
-        elif baseline > 0 and candidate_mean < baseline / (1.0 + threshold):
-            verdict = "improvement"
-        else:
-            verdict = "ok"
-        report.verdicts.append(
-            BenchVerdict(
-                name=name,
-                candidate_mean=candidate_mean,
-                baseline_mean=baseline,
-                limit=limit,
-                ratio=ratio,
-                history=len(historical),
-                verdict=verdict,
-            )
-        )
-    return report
-
-
-def bench_check(
-    candidate_path: str | None,
-    history_patterns: Sequence[str],
-    *,
-    threshold: float = 0.25,
-    min_history: int = 3,
-    resamples: int = 1000,
-    seed: int = 0,
-    report_path: str | None = None,
-    as_json: bool = False,
-) -> int:
-    """The ``repro bench check`` implementation; returns the exit code.
-
-    History files come from globbing *history_patterns* (literal paths
-    pass through).  Without an explicit candidate, the newest history
-    datapoint (by label) is judged against the rest.  ``--report``
-    writes the JSON form regardless of verdict, so CI can upload the
-    artifact before gating on the exit code.
-    """
-    import glob as globmod
-    import sys
-
-    paths: list[str] = []
-    for pattern in history_patterns:
-        matches = sorted(globmod.glob(pattern))
-        paths.extend(matches if matches else [pattern])
-    if candidate_path is not None and candidate_path not in paths:
-        paths.append(candidate_path)
-    try:
-        history = load_bench_history(dict.fromkeys(paths))
-    except RegressError as error:
-        print(str(error), file=sys.stderr)
-        return 1
-    if not history:
-        print("no benchmark datapoints found", file=sys.stderr)
-        return 1
-    if candidate_path is not None:
-        resolved = str(Path(candidate_path))
-        chosen = [point for point in history if point.source == resolved]
-        if not chosen:
-            print(f"candidate {candidate_path} failed to load", file=sys.stderr)
-            return 1
-        candidate = chosen[0]
-    else:
-        candidate = history[-1]
-    report = check_regressions(
-        [point for point in history if point.source != candidate.source],
-        candidate,
-        threshold=threshold,
-        min_history=min_history,
-        resamples=resamples,
-        seed=seed,
-    )
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-    print(json.dumps(report.as_dict(), sort_keys=True, indent=2) if as_json else report.render())
-    return report.exit_code

@@ -16,12 +16,9 @@ reproducibility:
   default worker count, set once by ``python -m repro run --jobs N``
   and consulted by every trial loop that does not pass ``jobs``
   explicitly.
-- :func:`merge_telemetry` — folds per-worker JSONL telemetry files
-  into one validated stream through a
-  :class:`repro.obs.telemetry.TelemetrySink`; :func:`merged_metrics`
-  consolidates the metric snapshots embedded in those files into one
-  :func:`repro.obs.metrics.merge_snapshots` result, deterministically
-  in path order.
+
+Workers return values; the parent process merges them and emits any
+telemetry, so no worker writes a telemetry file of its own.
 
 Isolation rule: like :mod:`repro.obs`, this package is harness-side
 machinery.  Protocol modules (anything defining a
@@ -36,15 +33,11 @@ from repro.perf.executor import (
     resolve_jobs,
     set_default_jobs,
 )
-from repro.perf.merge import merge_telemetry, merged_metrics, worker_telemetry_path
 
 __all__ = [
     "default_jobs",
-    "merge_telemetry",
-    "merged_metrics",
     "pmap_trials",
     "pool_fingerprint",
     "resolve_jobs",
     "set_default_jobs",
-    "worker_telemetry_path",
 ]

@@ -550,6 +550,7 @@ def sanitize(
     *workdir* (a temporary directory by default, kept if given
     explicitly).  The ``backend`` check is skipped with a note when
     numpy is unavailable — the vector backend cannot run without it.
+    The ``jobs`` check needs ``jobs >= 2`` (``ValueError`` otherwise).
     """
     from repro.perf import pool_fingerprint
     from repro.sim.backends.base import numpy_available
@@ -559,6 +560,11 @@ def sanitize(
         raise ValueError(
             f"unknown sanitize check(s) {', '.join(unknown)}; "
             f"known: {', '.join(CHECKS)}"
+        )
+    if "jobs" in checks and jobs < 2:
+        raise ValueError(
+            f"the jobs check needs jobs >= 2, got {jobs}: the control "
+            "capture already runs with jobs=1"
         )
 
     report = SanitizeReport(
@@ -613,21 +619,26 @@ def add_arguments(parser: Any) -> None:
     """Attach the ``sanitize`` subcommand's arguments to *parser*."""
     import argparse
 
+    from repro.obs.cli import _non_negative, _positive
+
     parser.add_argument(
         "experiment",
         help="experiment id (e.g. E01) or MODULE:FUNC entry point",
     )
-    parser.add_argument("--trials", type=int, default=None, help="trials per row")
+    parser.add_argument(
+        "--trials", type=_positive, default=None, help="trials per row"
+    )
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument(
         "--fast", action="store_true", help="shrunken sweeps (CI-sized)"
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative,
         default=2,
         metavar="N",
-        help="worker count for the jobs perturbation (default: 2)",
+        help="worker count for the jobs perturbation, at least 2 "
+        "(default: 2)",
     )
     parser.add_argument(
         "--checks",
@@ -661,7 +672,7 @@ def dispatch(args: Any) -> int:
             trials=args.trials,
             seed=args.seed,
             fast=args.fast,
-            jobs=args.jobs if args.jobs >= 1 else 1,
+            jobs=args.jobs,
             backend=args.backend,
         )
         Path(args.capture).write_text(

@@ -5,9 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.assignment import identical, shared_core
 from repro.sim import Network
+
+# The randomized kernel differential gate (tests/test_differential.py)
+# at a larger budget: `pytest --hypothesis-profile=differential`.
+settings.register_profile("differential", max_examples=2000)
 
 
 @pytest.fixture

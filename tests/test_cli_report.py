@@ -49,3 +49,20 @@ class TestCliEdges:
     def test_lowercase_id_accepted(self, capsys):
         assert main(["run", "e16", "--fast", "--trials", "2"]) == 0
         assert "E16" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["run", "E01"], ["report"]])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-1"], "argument --jobs: must be >= 0, got -1"),
+            (["--trials", "0"], "argument --trials: must be >= 1, got 0"),
+            (["--trials", "-2"], "argument --trials: must be >= 1, got -2"),
+        ],
+    )
+    def test_bad_counts_are_usage_errors(self, command, flags, message, capsys):
+        """Rejected by the parser (exit 2) before any experiment runs,
+        instead of a ValueError traceback from the trial loop."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--fast", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err

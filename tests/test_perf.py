@@ -3,9 +3,9 @@
 The contract under test is docs/performance.md's: ``pmap_trials`` is
 ``[fn(*args) for args in items]``, always — parallelism may only change
 the wall clock.  Fallback paths (jobs=1, unpicklable functions) must
-produce the same values silently, worker telemetry must merge into one
-valid stream, and every entry point (``map_trials``, ``Campaign.run``,
-the CLI ``--jobs`` flag) must leave results untouched.
+produce the same values silently, and every entry point
+(``map_trials``, ``Campaign.run``, the CLI ``--jobs`` flag) must leave
+results untouched.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ import pytest
 
 from repro.experiments.campaign import Campaign
 from repro.experiments.harness import map_trials, trial_seeds
-from repro.obs.telemetry import TelemetrySink, read_telemetry, run_record
-from repro.perf import (
-    default_jobs,
-    merge_telemetry,
-    merged_metrics,
-    pmap_trials,
-    resolve_jobs,
-    set_default_jobs,
-    worker_telemetry_path,
-)
+from repro.perf import default_jobs, pmap_trials, resolve_jobs, set_default_jobs
 
 
 def square(x):
@@ -117,111 +108,6 @@ class TestCampaignParallel:
         serial = campaign.run(self.GRID, trials=3, seed=1, jobs=1)
         parallel = campaign.run(self.GRID, trials=3, seed=1, jobs=4)
         assert [r.samples for r in serial] == [r.samples for r in parallel]
-
-
-class TestTelemetryMerge:
-    @staticmethod
-    def _record(seed):
-        import random
-
-        from repro.assignment import shared_core
-        from repro.sim import Network
-
-        network = Network.static(shared_core(8, 4, 2, random.Random(0)))
-        return run_record(
-            protocol="cogcast",
-            seed=seed,
-            network=network,
-            slots=10 + seed,
-            outcome="completed",
-        )
-
-    def test_worker_path_naming(self, tmp_path):
-        base = tmp_path / "telemetry.jsonl"
-        assert worker_telemetry_path(base, 3).name == "telemetry.worker3.jsonl"
-
-    def test_merge_preserves_order_and_validates(self, tmp_path):
-        paths = []
-        for index in range(3):
-            path = worker_telemetry_path(tmp_path / "t.jsonl", index)
-            with TelemetrySink(path) as sink:
-                sink.emit(self._record(index))
-            paths.append(path)
-        merged_path = tmp_path / "t.jsonl"
-        with TelemetrySink(merged_path) as sink:
-            count = merge_telemetry(paths, sink, remove=True)
-        assert count == 3
-        records = read_telemetry(merged_path)
-        assert [r["seed"] for r in records] == [0, 1, 2]
-        assert not any(path.exists() for path in paths)
-
-    def test_merge_skips_missing_worker_files(self, tmp_path):
-        path = worker_telemetry_path(tmp_path / "t.jsonl", 0)
-        with TelemetrySink(path) as sink:
-            sink.emit(self._record(5))
-        missing = worker_telemetry_path(tmp_path / "t.jsonl", 1)
-        with TelemetrySink(tmp_path / "t.jsonl") as sink:
-            count = merge_telemetry([path, missing], sink)
-        assert count == 1
-
-
-class TestMergedMetrics:
-    @staticmethod
-    def _instrumented_record(seed, hits):
-        import random
-
-        from repro.assignment import shared_core
-        from repro.obs.metrics import MetricsRegistry
-        from repro.sim import Network
-
-        registry = MetricsRegistry()
-        registry.counter("worker_hits", "per-worker hit count").inc(hits)
-        registry.gauge("worker_last_seed", "last seed processed").set(seed)
-        network = Network.static(shared_core(8, 4, 2, random.Random(0)))
-        return run_record(
-            protocol="cogcast",
-            seed=seed,
-            network=network,
-            slots=10 + seed,
-            outcome="completed",
-            metrics=registry,
-        )
-
-    def _shard(self, tmp_path, index, hits):
-        path = worker_telemetry_path(tmp_path / "t.jsonl", index)
-        with TelemetrySink(path) as sink:
-            sink.emit(self._instrumented_record(index, hits))
-        return path
-
-    def test_counters_add_across_worker_shards(self, tmp_path):
-        paths = [self._shard(tmp_path, index, hits=index + 1) for index in range(3)]
-        snapshot = merged_metrics(paths)
-        series = snapshot["metrics"]["worker_hits"]["series"]
-        assert series[0]["value"] == 6
-
-    def test_path_order_determines_gauge_winner(self, tmp_path):
-        paths = [self._shard(tmp_path, index, hits=1) for index in range(3)]
-        snapshot = merged_metrics(paths)
-        series = snapshot["metrics"]["worker_last_seed"]["series"]
-        assert series[0]["value"] == 2
-        assert series[0]["min"] == 0
-        assert series[0]["max"] == 2
-
-    def test_missing_worker_files_contribute_nothing(self, tmp_path):
-        present = self._shard(tmp_path, 0, hits=4)
-        missing = worker_telemetry_path(tmp_path / "t.jsonl", 1)
-        snapshot = merged_metrics([present, missing])
-        assert snapshot["metrics"]["worker_hits"]["series"][0]["value"] == 4
-
-    def test_uninstrumented_serial_fallback_merges_empty(self, tmp_path):
-        path = worker_telemetry_path(tmp_path / "t.jsonl", 0)
-        with TelemetrySink(path) as sink:
-            sink.emit(TestTelemetryMerge._record(0))
-        snapshot = merged_metrics([path])
-        assert snapshot == {"schema": 1, "metrics": {}}
-        from repro.obs.metrics import validate_snapshot
-
-        assert validate_snapshot(snapshot) == []
 
 
 class TestCliJobs:

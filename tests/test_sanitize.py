@@ -169,6 +169,13 @@ class TestSanitizeDriver:
         with pytest.raises(ValueError, match="unknown sanitize check"):
             sanitize("tests.sanitize_entry:run_clean", checks=("phase-of-moon",))
 
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_jobs_check_needs_two_workers(self, jobs):
+        """The control capture runs with jobs=1, so a jobs check with
+        fewer workers would compare nothing and report clean."""
+        with pytest.raises(ValueError, match="jobs check needs jobs >= 2"):
+            sanitize("tests.sanitize_entry:run_clean", jobs=jobs, checks=("jobs",))
+
     def test_control_conditions_are_pinned(self):
         assert CONTROL == Conditions(hashseed="0", jobs=1, backend="exact")
 
@@ -203,6 +210,25 @@ class TestSanitizeCli:
         code = repro_main(["sanitize", "tests.sanitize_entry:no_such_entry"])
         assert code == 2
         assert "repro sanitize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "1"])
+    def test_cli_jobs_check_with_one_worker_is_exit_2(self, jobs, capsys):
+        code = repro_main(
+            ["sanitize", "E01", "--fast", "--trials", "2", "--jobs", jobs,
+             "--checks", "jobs"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "jobs check needs jobs >= 2" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "-3"], ["--trials", "0"], ["--trials", "-1"]]
+    )
+    def test_cli_bad_counts_are_usage_errors(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["sanitize", "E01", "--fast", *flags])
+        assert exit_info.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
 
 
 class TestStaticRuntimePincer:

@@ -53,7 +53,6 @@ from repro.obs.telemetry import (
     validate_record,
 )
 from repro.obs.watchdog import SlotBudgetWatchdog
-from repro.perf.merge import merge_telemetry
 from repro.sim.channels import Network
 
 
@@ -252,6 +251,20 @@ class TestRunStore:
         assert report.ingested == 3
         assert report.deduplicated == 0
         assert len(store.entries()) == 3
+
+    def test_records_differing_only_in_timings_dedupe(self, tmp_path):
+        shard = tmp_path / "shard0.jsonl"
+        (record,) = _write_runs(shard, seeds=(0,))
+        assert record["timings"]["build"]["calls"] == 1
+        rerun = tmp_path / "shard1.jsonl"
+        with TelemetrySink(rerun) as sink:
+            sink.emit({**record, "timings": {"build": {"seconds": 9.0, "calls": 1}}})
+        store = RunStore(tmp_path / "store")
+        report = store.ingest([shard, rerun])
+        assert report.ingested == 1
+        assert report.deduplicated == 1
+        (entry,) = store.entries()
+        assert store.load(entry["run_id"])["record"] == record
 
     def test_truncated_object_is_replaced_on_ingest(self, tmp_path):
         shard = tmp_path / "shard.jsonl"
@@ -541,45 +554,6 @@ class TestExplain:
         assert span_path_of(spans, 30) == "run[0,40) > phase4[28,40)"
         assert span_path_of(None, 3) == "(no span summary)"
         assert span_path_of({}, 3) == "(no span extents)"
-
-
-class TestMergeDedupe:
-    def test_overlapping_shards_dedupe_by_provenance(self, tmp_path):
-        shard = tmp_path / "worker0.jsonl"
-        _write_runs(shard, seeds=(0, 1))
-        merged_path = tmp_path / "merged.jsonl"
-        with TelemetrySink(merged_path) as sink:
-            merged = merge_telemetry([shard, shard], sink, dedupe=True)
-        assert merged == 2
-        assert len(read_telemetry(merged_path)) == 2
-
-    def test_distinct_anomalies_survive_dedupe(self, tmp_path):
-        shard = tmp_path / "worker0.jsonl"
-        _write_runs(shard, seeds=(0, 1), watchdog_budget=1)
-        total = len(read_telemetry(shard))
-        merged_path = tmp_path / "merged.jsonl"
-        with TelemetrySink(merged_path) as sink:
-            merged = merge_telemetry([shard, shard], sink, dedupe=True)
-        assert merged == total  # every distinct record exactly once
-
-    def test_records_differing_only_in_timings_dedupe(self, tmp_path):
-        shard = tmp_path / "worker0.jsonl"
-        (record,) = _write_runs(shard, seeds=(0,))
-        assert record["timings"]["build"]["calls"] == 1
-        rerun = tmp_path / "worker1.jsonl"
-        with TelemetrySink(rerun) as sink:
-            sink.emit({**record, "timings": {"build": {"seconds": 9.0, "calls": 1}}})
-        merged_path = tmp_path / "merged.jsonl"
-        with TelemetrySink(merged_path) as sink:
-            assert merge_telemetry([shard, rerun], sink, dedupe=True) == 1
-        assert read_telemetry(merged_path) == [record]
-
-    def test_dedupe_off_keeps_duplicates(self, tmp_path):
-        shard = tmp_path / "worker0.jsonl"
-        _write_runs(shard, seeds=(0,))
-        merged_path = tmp_path / "merged.jsonl"
-        with TelemetrySink(merged_path) as sink:
-            assert merge_telemetry([shard, shard], sink) == 2
 
 
 class TestStoreCli:
